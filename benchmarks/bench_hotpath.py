@@ -274,354 +274,3 @@ def test_batch_closed_loop_throughput(record_result, record_metrics):
     # Headline claim is >= 1.3x at batch size 8; loopback TCP shows
     # several times that because the round-trip dominates.
     assert speedup >= 1.3, (sequential, batched)
-
-
-# -- protocol cost: binary framing + UNIX socket vs JSON over TCP ----------
-#
-# The wire-speed axis.  Three measurements:
-#
-# * **Codec microbench.**  Encode/decode time and bytes per frame for
-#   representative hot frames, per codec.  Binary frames are 2-4x
-#   smaller; encode beats ``json.dumps``, decode is at parity with the
-#   C-accelerated ``json.loads`` — the closed-loop win comes from the
-#   whole lane (inline dispatch, drain elision, fewer bytes, cheaper
-#   sockets), not from one codec call.
-# * **Closed loop.**  The PR 5 batched workload (batch size 8) driven
-#   through the JSON-v1-over-TCP lane (the task-per-frame code path v1
-#   connections still use, byte-for-byte) versus the v2 lane: binary
-#   framing over a UNIX-domain socket with the reader-inline fast
-#   path (plus uvloop when the optional extra is installed).
-#   Headline claim: **>= 2x** transactions/second.
-# * **Embed floor.**  The same workload through the zero-serialization
-#   ``EmbeddedLockManager`` — the protocol-cost floor: what remains
-#   when frames cost nothing at all.
-#
-# Syscalls/txn is recorded analytically: each round trip is one write
-# and (at least) one read per side, so a batched transaction costs 2
-# round trips (batch + commit) on either wire — the lanes differ in
-# per-syscall price (UNIX vs TCP loopback) and per-frame CPU, not in
-# syscall count; the sequential per-op shape pays 5x more of them.
-
-import concurrent.futures
-import os
-import statistics
-import tempfile
-
-from repro.service.loopback import EmbeddedLockManager, LoopbackServer
-from repro.service.wire import BINARY_CODEC, JSON_CODEC
-
-CODEC_REPEATS = 5
-CODEC_ITERATIONS = 2000
-
-#: Representative hot frames (the shapes the closed loop sends).
-_CODEC_FRAMES = [
-    (
-        "lock-req",
-        None,
-        {
-            "v": 1, "id": 7, "op": "lock", "tid": 41, "rid": "R129",
-            "mode": "S", "wait": True, "trace": "trace-9f3a0c12d4e5",
-        },
-    ),
-    (
-        "lock-resp",
-        "lock",
-        {
-            "v": 1, "id": 7, "ok": True, "tid": 41, "status": "granted",
-            "event": {
-                "type": "granted", "tid": 41, "rid": "R129", "mode": "S",
-                "immediate": True,
-            },
-            "epoch": 1,
-        },
-    ),
-    (
-        "batch-req",
-        None,
-        {
-            "v": 1, "id": 8, "op": "batch",
-            "ops": [{"op": "begin", "tid": 41}] + [
-                {"op": "lock", "tid": 41, "rid": "R{}".format(40 + i),
-                 "mode": "S"}
-                for i in range(BATCH_SIZE)
-            ],
-        },
-    ),
-    (
-        "batch-resp",
-        "batch",
-        {
-            "v": 1, "id": 8, "ok": True,
-            "results": [{"op": "begin", "ok": True, "tid": 41}] + [
-                {
-                    "op": "lock", "ok": True, "tid": 41,
-                    "status": "granted",
-                    "event": {
-                        "type": "granted", "tid": 41,
-                        "rid": "R{}".format(40 + i), "mode": "S",
-                        "immediate": True,
-                    },
-                }
-                for i in range(BATCH_SIZE)
-            ],
-            "epoch": 1,
-        },
-    ),
-]
-
-
-def _time_codec(fn) -> float:
-    best = float("inf")
-    for _ in range(CODEC_REPEATS):
-        started = time.perf_counter()
-        for _ in range(CODEC_ITERATIONS):
-            fn()
-        best = min(best, time.perf_counter() - started)
-    return best / CODEC_ITERATIONS * 1e6
-
-
-def test_protocol_codec_microbench(record_result, record_metrics):
-    """Encode/decode microseconds and bytes per frame, per codec."""
-    import io
-
-    rows = []
-    totals = {"json": [0.0, 0.0, 0], "binary": [0.0, 0.0, 0]}
-    for name, reply_to, message in _CODEC_FRAMES:
-        for codec in (JSON_CODEC, BINARY_CODEC):
-            frame = codec.encode(message, reply_to, 8 << 20)
-
-            def decode(frame=frame, codec=codec):
-                reader = asyncio.StreamReader()
-                reader.feed_data(frame)
-                reader.feed_eof()
-                return asyncio.get_event_loop().run_until_complete(
-                    codec.read(reader, 8 << 20)
-                )
-
-            # Time pure decode through the metered reader's own
-            # decode path by reusing a pre-fed reader per call is
-            # loop-bound; instead decode via the payload decoders.
-            if codec is BINARY_CODEC:
-                from repro.service.wire import (
-                    _HEADER,
-                    HEADER_SIZE,
-                    decode_binary_payload,
-                )
-
-                payload = frame[HEADER_SIZE:]
-                (_, _, flags, opcode, _, header_id, _) = (
-                    _HEADER.unpack_from(frame)
-                )
-                decoded = decode_binary_payload(
-                    flags, opcode, header_id, payload
-                )
-                decode_us = _time_codec(
-                    lambda: decode_binary_payload(
-                        flags, opcode, header_id, payload
-                    )
-                )
-            else:
-                import json as _json
-
-                payload = frame[4:]
-                decoded = _json.loads(payload)
-                decode_us = _time_codec(lambda: _json.loads(payload))
-            assert decoded == message, (codec.name, name)
-            encode_us = _time_codec(
-                lambda: codec.encode(message, reply_to, 8 << 20)
-            )
-            rows.append(
-                (name, codec.name, encode_us, decode_us, len(frame))
-            )
-            totals[codec.name][0] += encode_us
-            totals[codec.name][1] += decode_us
-            totals[codec.name][2] += len(frame)
-
-    lines = [
-        "wire codec microbench ({} iterations, best of {})".format(
-            CODEC_ITERATIONS, CODEC_REPEATS
-        ),
-        "{:>12} {:>8} {:>12} {:>12} {:>8}".format(
-            "frame", "codec", "encode us", "decode us", "bytes"
-        ),
-    ]
-    for name, codec_name, encode_us, decode_us, nbytes in rows:
-        lines.append(
-            "{:>12} {:>8} {:>12.2f} {:>12.2f} {:>8}".format(
-                name, codec_name, encode_us, decode_us, nbytes
-            )
-        )
-    shrink = totals["json"][2] / totals["binary"][2]
-    lines.append(
-        "binary frames are {:.1f}x smaller across the hot set".format(
-            shrink
-        )
-    )
-    record_result("X12_protocol_codec", "\n".join(lines))
-    frames = len(_CODEC_FRAMES)
-    record_metrics(
-        "protocol_codec",
-        {
-            "json_encode_us_per_frame": round(totals["json"][0] / frames, 2),
-            "json_decode_us_per_frame": round(totals["json"][1] / frames, 2),
-            "json_bytes_per_frame": round(totals["json"][2] / frames, 1),
-            "binary_encode_us_per_frame": round(
-                totals["binary"][0] / frames, 2
-            ),
-            "binary_decode_us_per_frame": round(
-                totals["binary"][1] / frames, 2
-            ),
-            "binary_bytes_per_frame": round(totals["binary"][2] / frames, 1),
-            "binary_shrink": round(shrink, 2),
-        },
-        params={
-            "iterations": CODEC_ITERATIONS,
-            "frames": frames,
-            "batch_size": BATCH_SIZE,
-        },
-    )
-    # Binary must never be *larger* on the hot set.
-    assert shrink > 1.5, totals
-
-
-async def _protocol_loop(wire, unix_path=None) -> float:
-    """The batched closed loop over one (codec, socket family) lane."""
-    server = LockServer(period=0.05)
-    if unix_path is not None:
-        await server.start(unix=unix_path)
-    else:
-        await server.start("127.0.0.1", 0)
-    try:
-        clients = [
-            await AsyncLockClient.connect(
-                server.host, server.port, wire=wire, unix=unix_path
-            )
-            for _ in range(CLIENTS)
-        ]
-        try:
-            started = time.perf_counter()
-            await asyncio.gather(*[
-                _run_client_batched(client, 1 + index * 10000, 97 + index)
-                for index, client in enumerate(clients)
-            ])
-            elapsed = time.perf_counter() - started
-        finally:
-            for client in clients:
-                await client.close()
-    finally:
-        await server.aclose()
-    return CLIENTS * TXNS_PER_CLIENT / elapsed
-
-
-def _embed_loop() -> float:
-    """The same workload through the zero-serialization embed facade:
-    one structured ``run_transaction`` call — one thread hop — per
-    uncontended transaction."""
-    with LoopbackServer(period=0.05) as loopback:
-        managers = [
-            EmbeddedLockManager(loopback) for _ in range(CLIENTS)
-        ]
-        try:
-
-            def run(manager, base_tid, seed):
-                rng = random.Random(seed)
-                for offset in range(TXNS_PER_CLIENT):
-                    assert manager.run_transaction(
-                        base_tid + offset, _accesses(rng), timeout=30.0
-                    )
-
-            started = time.perf_counter()
-            with concurrent.futures.ThreadPoolExecutor(CLIENTS) as pool:
-                futures = [
-                    pool.submit(run, manager, 1 + i * 10000, 97 + i)
-                    for i, manager in enumerate(managers)
-                ]
-                for future in futures:
-                    future.result()
-            elapsed = time.perf_counter() - started
-        finally:
-            for manager in managers:
-                manager.close()
-    return CLIENTS * TXNS_PER_CLIENT / elapsed
-
-
-def test_protocol_closed_loop(record_result, record_metrics):
-    """JSON-v1 over TCP (the PR 5 lane, unchanged) vs binary v2 over a
-    UNIX socket with the inline fast path; the embed facade as the
-    protocol-cost floor."""
-    from repro.service.eventloop import loop_factory, uvloop_available
-
-    factory = loop_factory(True)
-
-    def run_loop(coro):
-        with asyncio.Runner(loop_factory=factory) as runner:
-            return runner.run(coro)
-
-    json_tcp = 0.0
-    binary_unix = 0.0
-    for _ in range(LOOP_REPEATS):
-        json_tcp = max(
-            json_tcp, asyncio.run(_protocol_loop("json"))
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            binary_unix = max(
-                binary_unix,
-                run_loop(
-                    _protocol_loop(
-                        "binary", os.path.join(tmp, "lock.sock")
-                    )
-                ),
-            )
-    embed = max(_embed_loop() for _ in range(LOOP_REPEATS))
-    wire_speedup = binary_unix / json_tcp
-    embed_speedup = embed / json_tcp
-
-    loop_name = "uvloop" if uvloop_available() else "asyncio"
-    lines = [
-        "protocol closed loop ({} clients x {} txns, batch size {}, "
-        "best of {}; v2 loop={})".format(
-            CLIENTS, TXNS_PER_CLIENT, BATCH_SIZE, LOOP_REPEATS, loop_name
-        ),
-        "{:>26} {:>12} {:>10}".format("lane", "txn/s", "speedup"),
-        "{:>26} {:>12} {:>10}".format(
-            "json v1 + tcp (baseline)", round(json_tcp), ""
-        ),
-        "{:>26} {:>12} {:>9.1f}x".format(
-            "binary v2 + unix", round(binary_unix), wire_speedup
-        ),
-        "{:>26} {:>12} {:>9.1f}x".format(
-            "embed (structured ops)", round(embed), embed_speedup
-        ),
-        "syscalls/txn (analytic): socket lanes 8 "
-        "(2 round trips x 2 ends x r/w), embed lane 0",
-    ]
-    record_result("X13_protocol_loop", "\n".join(lines))
-    record_metrics(
-        "protocol_loop",
-        {
-            "json_tcp_txn_s": round(json_tcp, 1),
-            "binary_unix_txn_s": round(binary_unix, 1),
-            "embed_txn_s": round(embed, 1),
-            "wire_speedup": round(wire_speedup, 2),
-            "embed_speedup": round(embed_speedup, 2),
-            "syscalls_per_txn_batched": 8,
-            "syscalls_per_txn_sequential": 8 * (BATCH_SIZE + 2) // 2,
-            "syscalls_per_txn_embed": 0,
-        },
-        params={
-            "clients": CLIENTS,
-            "txns_per_client": TXNS_PER_CLIENT,
-            "batch_size": BATCH_SIZE,
-            "resources": LOOP_RESOURCES,
-            "loop": loop_name,
-        },
-    )
-    # Headline claim (committed in BENCH_protocol.json, quiet machine):
-    # the zero-serialization lane clears 2x over the PR 5 batched JSON
-    # baseline; binary framing over a UNIX socket wins what the wire
-    # share of the batched workload allows (batching already amortized
-    # most of it — that was PR 5's win).  The in-test floors are
-    # no-regression guards so noisy CI neighbours don't flake the
-    # suite.
-    assert wire_speedup >= 0.8, (json_tcp, binary_unix)
-    assert embed_speedup >= 1.5, (json_tcp, embed)

@@ -48,7 +48,7 @@ from ..core.serialize import table_to_dict
 from ..service.core import ParkedWait, ServiceCore, Session
 from ..service.journal import SessionJournal, recover_into
 from ..service.protocol import ServiceError, request
-from ..service.wire import codec_for, resolve_wire, wire_roundtrip
+from ..service.wire import wire_roundtrip
 from ..sim.workload import Program
 from .concurrent import ScheduleResult
 from .oracles import (
@@ -100,7 +100,6 @@ class ServiceModel:
         max_steps: int = 600,
         restart_limit: int = 2,
         timeout_limit: int = 2,
-        wire=None,
     ) -> None:
         self.programs = programs
         self.session_count = max(1, sessions)
@@ -110,11 +109,6 @@ class ServiceModel:
         self.max_steps = max_steps
         self.restart_limit = restart_limit
         self.timeout_limit = timeout_limit
-        #: The wire dialect lock frames round-trip through before the
-        #: core sees them (default: ``REPRO_WIRE``, i.e. JSON) — the
-        #: explorer's proof that a schedule replays identically under
-        #: either codec.
-        self.codec = codec_for(resolve_wire(wire))
 
     def run(self, scheduler: VirtualScheduler) -> ScheduleResult:
         clock = VirtualClock()
@@ -179,10 +173,9 @@ class ServiceModel:
 
         def deliver_lock(client: _Client) -> List[OracleFailure]:
             access = client.program.accesses[client.pc]
-            # The model's wire: the lock frame crosses the configured
-            # codec (encode+decode) exactly as a socket delivery would,
-            # so a binary-codec run replays the same schedule the JSON
-            # run does — or the oracles catch the difference.
+            # The model's wire: the lock frame round-trips through JSON
+            # exactly as a socket delivery would, so the core only
+            # ever sees wire-shaped requests.
             frame = wire_roundtrip(
                 request(
                     0,
@@ -190,8 +183,7 @@ class ServiceModel:
                     tid=client.tid,
                     rid=access.rid,
                     mode=access.mode.name,
-                ),
-                self.codec,
+                )
             )
             core.touch_session(client.session)
             status, _event, parked = core.lock_step(

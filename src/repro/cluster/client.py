@@ -39,7 +39,6 @@ from ..core.modes import LockMode
 from ..core.victim import CostTable
 from ..service.client import AsyncLockClient, _NETWORK_SLACK
 from ..service.protocol import ServiceError
-from ..service.wire import WIRE_BINARY
 from .coordinator import ClusterDetection, run_cluster_pass, worker_of
 
 
@@ -59,17 +58,11 @@ class WireClusterTransport:
         lease: float = 30.0,
         connect_timeout: float = 5.0,
         call_timeout: float = 60.0,
-        wire: "int | str | None" = WIRE_BINARY,
     ) -> None:
         self._endpoints = list(endpoints)
         self._lease = lease
         self._connect_timeout = connect_timeout
         self._call_timeout = call_timeout
-        #: Requested framing for worker connections.  Snapshot and
-        #: resolve payloads are the bulkiest frames in the system, so
-        #: the coordinator asks for binary by default; a pre-v2 worker
-        #: simply declines and the round stays on JSON.
-        self._wire = wire
         self._clients: List[Optional[AsyncLockClient]] = [None] * len(
             self._endpoints
         )
@@ -92,9 +85,7 @@ class WireClusterTransport:
             return client
         host, port = self._endpoints[index]
         client = await asyncio.wait_for(
-            AsyncLockClient.connect(
-                host, port, lease=self._lease, wire=self._wire
-            ),
+            AsyncLockClient.connect(host, port, lease=self._lease),
             self._connect_timeout,
         )
         self._clients[index] = client
@@ -210,14 +201,12 @@ class ClusterLockManager:
         lease: float = 5.0,
         connect_timeout: float = 10.0,
         costs: Optional[Dict[int, float]] = None,
-        wire: "int | str | None" = None,
     ) -> None:
         if not endpoints:
             raise ValueError("a cluster client needs at least one endpoint")
         self._endpoints = [(host, int(port)) for host, port in endpoints]
         self._lease = lease
         self._connect_timeout = connect_timeout
-        self._wire = wire
         self._costs = CostTable(dict(costs or {}))
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -239,9 +228,7 @@ class ClusterLockManager:
         try:
             self._clients = [
                 self._run(
-                    AsyncLockClient.connect(
-                        host, port, lease=lease, wire=wire
-                    ),
+                    AsyncLockClient.connect(host, port, lease=lease),
                     timeout=connect_timeout,
                 )
                 for host, port in self._endpoints
@@ -318,11 +305,7 @@ class ClusterLockManager:
                 try:
                     client = self._run(
                         AsyncLockClient.resume(
-                            host,
-                            port,
-                            old.session,
-                            old.token,
-                            wire=self._wire,
+                            host, port, old.session, old.token
                         ),
                         timeout=self._connect_timeout,
                     )
@@ -332,10 +315,7 @@ class ClusterLockManager:
                 try:
                     client = self._run(
                         AsyncLockClient.connect(
-                            host,
-                            port,
-                            lease=self._lease,
-                            wire=self._wire,
+                            host, port, lease=self._lease
                         ),
                         timeout=self._connect_timeout,
                     )

@@ -27,7 +27,7 @@ from ..lockmgr.lock_table import LockTable
 from ..lockmgr.sharded import ShardedLockCore
 from ..lockmgr import scheduler
 from ..obs.incidents import IncidentLog
-from ..service.wire import codec_for, resolve_wire, wire_roundtrip
+from ..service.wire import wire_roundtrip
 from .coordinator import (
     ClusterDetection,
     apply_resolution_plan,
@@ -40,35 +40,29 @@ from .coordinator import (
 class LocalTransport:
     """Coordinator transport over in-process cores.
 
-    Every payload, plan and reply round-trips through the configured
-    wire codec so the in-process cluster speaks exactly the wire
-    dialect — a shape only the wire can carry (string keys, lists, no
-    tuples) is exercised here the same way the socket path exercises
-    it, for *either* framing: JSON re-parses through ``json``, binary
-    encodes+decodes real v2 frames.
+    Every payload, plan and reply round-trips through JSON so the
+    in-process cluster speaks exactly the wire dialect — a shape only
+    JSON can carry (string keys, lists, no tuples) is exercised here
+    the same way the socket path exercises it.
     """
 
-    def __init__(self, cluster: "LocalCluster", wire=None) -> None:
+    def __init__(self, cluster: "LocalCluster") -> None:
         self._cluster = cluster
-        self.codec = codec_for(resolve_wire(wire))
         #: Every ``(worker index, plan)`` this transport routed — the
         #: trace-propagation tests read the ``ctx`` the coordinator
         #: stamped on each plan.
         self.resolved_plans: List[Dict[str, Any]] = []
 
-    def _wire(self, payload: Any) -> Any:
-        return wire_roundtrip(payload, self.codec)
-
     def snapshot_all(self) -> List[Optional[Dict[str, Any]]]:
         return [
-            self._wire(core.snapshot_payload())
+            wire_roundtrip(core.snapshot_payload())
             for core in self._cluster.cores
         ]
 
     def resolve(self, index: int, plan: Dict[str, Any]) -> Dict[str, Any]:
-        plan = self._wire(plan)
+        plan = wire_roundtrip(plan)
         self.resolved_plans.append({"worker": index, "plan": plan})
-        return self._wire(
+        return wire_roundtrip(
             apply_resolution_plan(self._cluster.cores[index], plan)
         )
 
@@ -88,7 +82,6 @@ class LocalCluster:
         costs: Optional[CostTable] = None,
         incident_log: Optional[IncidentLog] = None,
         policy=None,
-        wire=None,
     ) -> None:
         if workers < 1:
             raise ValueError("a cluster needs at least one worker")
@@ -123,7 +116,7 @@ class LocalCluster:
         ]
         #: tid -> worker indexes the transaction has touched.
         self._affinity: Dict[int, Set[int]] = {}
-        self._transport = LocalTransport(self, wire=wire)
+        self._transport = LocalTransport(self)
         self.last_pass = None
 
     # -- routing ---------------------------------------------------------

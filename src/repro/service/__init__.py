@@ -23,7 +23,6 @@ mirror of :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`.
 from .admin import ServiceStats, render_stats
 from .client import AsyncLockClient, RemoteLockManager
 from .core import ParkedWait, ServiceCore, Session
-from .eventloop import install_uvloop, uvloop_available
 from .journal import RecoveryReport, SessionJournal, recover_into
 from .loopback import EmbeddedLockManager, LoopbackServer
 from .protocol import (
@@ -35,22 +34,11 @@ from .protocol import (
     WIRE_VERSION,
 )
 from .server import LockServer, serve
-from .wire import (
-    BINARY_CODEC,
-    JSON_CODEC,
-    WIRE_BINARY,
-    WIRE_JSON,
-    codec_for,
-    negotiate,
-    resolve_wire,
-)
 
 __all__ = [
     "AsyncLockClient",
-    "BINARY_CODEC",
     "EmbeddedLockManager",
     "FrameTooLarge",
-    "JSON_CODEC",
     "LockServer",
     "LoopbackServer",
     "MAX_FRAME",
@@ -64,15 +52,8 @@ __all__ = [
     "ServiceStats",
     "Session",
     "SessionJournal",
-    "WIRE_BINARY",
-    "WIRE_JSON",
     "WIRE_VERSION",
-    "codec_for",
-    "install_uvloop",
-    "negotiate",
     "recover_into",
     "render_stats",
-    "resolve_wire",
     "serve",
-    "uvloop_available",
 ]

@@ -29,10 +29,11 @@ from .protocol import (
     ProtocolError,
     RemoteDetectionResult,
     ServiceError,
+    encode_frame,
     raise_for_error,
+    read_frame,
     request,
 )
-from .wire import JSON_CODEC, WIRE_BINARY, WIRE_JSON, codec_for, resolve_wire
 
 #: Mirror of the server's drain policy: ``write`` buffers, and the
 #: flow-control drain is only awaited once the transport buffer is deep.
@@ -47,7 +48,6 @@ class AsyncLockClient:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        wire: "int | str | None" = None,
         max_frame: int = MAX_FRAME,
     ) -> None:
         self._reader = reader
@@ -55,15 +55,7 @@ class AsyncLockClient:
         self._pending: Dict[int, asyncio.Future] = {}
         self._next_id = 1
         self._write_lock = asyncio.Lock()
-        #: The codec for every frame after the handshake.  The
-        #: handshake itself is always JSON; the reply's ``wire`` field
-        #: switches this (inside the read loop, so no frame is ever
-        #: parsed with the wrong codec).
-        self._codec = JSON_CODEC
-        self._want_wire = resolve_wire(wire)
         self._max_frame = max_frame
-        #: The negotiated wire version (1 until the handshake grants 2).
-        self.wire: int = WIRE_JSON
         self._reader_task: Optional[asyncio.Task] = None
         self._heartbeat_task: Optional[asyncio.Task] = None
         self._closed = False
@@ -113,20 +105,22 @@ class AsyncLockClient:
         """Open a connection, perform the hello handshake and (by
         default) start the background heartbeat task.
 
-        ``wire`` picks the framing to request (``"json"``/``"binary"``,
-        default from ``REPRO_WIRE``, JSON when unset); a server that
-        does not grant it leaves the connection on JSON v1.  ``unix``
-        connects to a UNIX-domain socket path instead of TCP."""
+        ``unix`` connects to a UNIX-domain socket path instead of TCP.
+        ``wire`` names the framing: JSON v1 is the only one, so it
+        accepts ``None``, ``1`` or ``"json"`` and raises
+        :class:`ValueError` for anything else."""
+        if wire not in (None, 1, "json"):
+            raise ValueError(
+                "unknown wire {!r}: binary framing was removed, JSON v1 "
+                "(wire=None, 1 or 'json') is the only wire".format(wire)
+            )
         if unix is not None:
             reader, writer = await asyncio.open_unix_connection(unix)
         else:
             reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, wire=wire, max_frame=max_frame)
-        client._unix = unix
+        client = cls(reader, writer, max_frame=max_frame)
         client._reader_task = asyncio.ensure_future(client._read_loop())
         fields = {} if lease is None else {"lease": lease}
-        if client._want_wire != WIRE_JSON:
-            fields["wire"] = client._want_wire
         try:
             response = await client._call("hello", **fields)
         except BaseException:
@@ -147,7 +141,6 @@ class AsyncLockClient:
         session: str,
         token: str,
         heartbeat: bool = True,
-        wire: "int | str | None" = None,
         unix: Optional[str] = None,
         max_frame: int = MAX_FRAME,
     ) -> "AsyncLockClient":
@@ -160,14 +153,12 @@ class AsyncLockClient:
             reader, writer = await asyncio.open_unix_connection(unix)
         else:
             reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, wire=wire, max_frame=max_frame)
-        client._unix = unix
+        client = cls(reader, writer, max_frame=max_frame)
         client._reader_task = asyncio.ensure_future(client._read_loop())
-        fields: Dict[str, Any] = {"session": session, "token": token}
-        if client._want_wire != WIRE_JSON:
-            fields["wire"] = client._want_wire
         try:
-            response = await client._call("resume", **fields)
+            response = await client._call(
+                "resume", session=session, token=token
+            )
         except BaseException:
             await client._teardown()
             raise
@@ -245,19 +236,11 @@ class AsyncLockClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                frame = await self._codec.read(self._reader, self._max_frame)
+                frame = await read_frame(self._reader, self._max_frame)
                 if frame is None:
                     break
                 if "epoch" in frame:
                     self.last_epoch = int(frame["epoch"])
-                if "wire" in frame and frame.get("ok"):
-                    # The handshake reply granting a codec switch: take
-                    # it *here*, before parsing the next frame and
-                    # before the handshake waiter can send under it.
-                    granted = frame.get("wire")
-                    if granted == WIRE_BINARY:
-                        self._codec = codec_for(granted)
-                        self.wire = granted
                 future = self._pending.pop(frame.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(frame)
@@ -299,9 +282,7 @@ class AsyncLockClient:
         # ``write`` appends the whole frame atomically; the lock only
         # serializes drains, and a drain is only worth its loop hop
         # once the transport buffer is actually deep.
-        self._writer.write(
-            self._codec.encode(message, None, self._max_frame)
-        )
+        self._writer.write(encode_frame(message, self._max_frame))
         if (
             self._writer.transport.get_write_buffer_size()
             > _DRAIN_THRESHOLD
@@ -588,7 +569,6 @@ class RemoteLockManager:
         port: Optional[int] = None,
         lease: float = 5.0,
         connect_timeout: float = 10.0,
-        wire: "int | str | None" = None,
         unix: Optional[str] = None,
         max_frame: int = MAX_FRAME,
     ) -> None:
@@ -606,7 +586,6 @@ class RemoteLockManager:
                     host,
                     port,
                     lease=lease,
-                    wire=wire,
                     unix=unix,
                     max_frame=max_frame,
                 ),
@@ -615,11 +594,6 @@ class RemoteLockManager:
         except BaseException:
             self._stop_loop()
             raise
-
-    @property
-    def wire(self) -> int:
-        """The negotiated wire version (1 = JSON, 2 = binary)."""
-        return self._client.wire
 
     def _run(self, coro, timeout: Optional[float] = None):
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result(

@@ -30,17 +30,14 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import TransactionAborted
 from ..core.modes import LockMode, parse_mode
-from .eventloop import loop_factory
 from .server import LockServer
 
 
 class LoopbackServer:
     """Run a lock server on a background thread (see module docstring).
 
-    ``unix`` binds a UNIX-domain socket instead of TCP; ``use_uvloop``
-    runs the server thread on a uvloop event loop when the optional
-    ``perf`` extra is installed (silently staying on stock asyncio when
-    it is not).  Remaining keyword arguments are forwarded to
+    ``unix`` binds a UNIX-domain socket instead of TCP.  Remaining
+    keyword arguments are forwarded to
     :class:`~repro.service.server.LockServer`.
     """
 
@@ -48,12 +45,10 @@ class LoopbackServer:
         self,
         host: str = "127.0.0.1",
         unix: Optional[str] = None,
-        use_uvloop: bool = False,
         **server_kwargs,
     ) -> None:
         self._host_arg = host
         self._unix_arg = unix
-        self._use_uvloop = use_uvloop
         self._server_kwargs = server_kwargs
         self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -82,10 +77,7 @@ class LoopbackServer:
 
     def _thread_main(self) -> None:
         try:
-            with asyncio.Runner(
-                loop_factory=loop_factory(self._use_uvloop)
-            ) as runner:
-                runner.run(self._serve())
+            asyncio.run(self._serve())
         except BaseException as exc:  # surface startup failures
             if not self._ready.is_set():
                 self._startup_error = exc
@@ -149,9 +141,8 @@ class EmbeddedLockManager:
     ``detect``/``holding``/``deadlocked``/``stats``), but every
     operation is a plain function submitted to the server's
     single-writer task: requests and results cross the thread boundary
-    as the structured objects themselves.  This is the protocol-cost
-    floor the wire codecs are measured against — same core, same
-    session accounting, zero encode/decode bytes.
+    as the structured objects themselves — same core, same session
+    accounting, zero encode/decode bytes.
 
     Parked waits keep their wire semantics: a blocking ``acquire``
     registers a :class:`~repro.service.core.ParkedWait` whose callback
@@ -284,65 +275,6 @@ class EmbeddedLockManager:
                 return False
         return True
 
-    def run_transaction(
-        self,
-        tid: int,
-        accesses: Iterable[Tuple[str, "LockMode | str"]],
-        timeout: Optional[float] = None,
-    ) -> bool:
-        """Begin, acquire every lock, and commit — one structured op.
-
-        The wire-free hot path: where :meth:`acquire_many` mirrors the
-        remote facade's frame sequence (a batch round trip, waiting
-        acquires, a commit round trip), this crosses the thread
-        boundary **once** for an uncontended transaction.  The whole
-        begin/lock*/commit sequence runs as a single plain function on
-        the single-writer task; no wire-shaped result dicts are built
-        and no frame bytes exist anywhere.  Contended transactions fall
-        back to waiting :meth:`acquire` calls for the blocked suffix —
-        the same shape the remote client uses — then commit.
-
-        Returns True when the transaction committed, False when a lock
-        wait timed out (the transaction is left open, lock requests
-        still queued, exactly like a timed-out :meth:`acquire`); raises
-        :class:`TransactionAborted` when a detection pass chose ``tid``
-        as victim.
-        """
-        pending = [
-            (rid, mode if isinstance(mode, LockMode) else parse_mode(mode))
-            for rid, mode in accesses
-        ]
-        core = self._core
-
-        def txn() -> Tuple[str, int]:
-            session = self._session
-            core.touch_session(session)
-            core.stats.requests += 1
-            core.begin_step(session, tid)
-            for index, (rid, mode) in enumerate(pending):
-                status, _event, _parked = core.lock_step(
-                    session, tid, rid, mode, wait=False
-                )
-                if status == "aborted":
-                    return "aborted", index
-                if status != "granted":
-                    return "blocked", index
-            core.finish_step(session, tid, False)
-            return "committed", len(pending)
-
-        status, index = self._submit(txn)
-        if status == "committed":
-            return True
-        if status == "aborted":
-            raise TransactionAborted(tid)
-        # The blocked request is already queued; resume it as a waiting
-        # acquire, finish the remaining lock set, then commit.
-        for rid, mode in pending[index:]:
-            if not self.acquire(tid, rid, mode, timeout=timeout):
-                return False
-        self.commit(tid)
-        return True
-
     # -- detection ---------------------------------------------------------
 
     def detect(self):
@@ -365,11 +297,6 @@ class EmbeddedLockManager:
     def stats(self) -> Dict[str, int]:
         core = self._core
         return self._submit(core.stats_payload)
-
-    @property
-    def wire(self) -> int:
-        """The embed path has no wire at all."""
-        return 0
 
     # -- internals ---------------------------------------------------------
 

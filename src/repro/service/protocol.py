@@ -124,8 +124,8 @@ from ..lockmgr.events import Aborted, Blocked, Granted, Repositioned
 WIRE_VERSION = 1
 
 #: Default cap on one frame's payload — a garbled length prefix must
-#: not make the reader try to allocate gigabytes.  Both decode paths
-#: (JSON here, binary in :mod:`.wire`) take a per-connection override.
+#: not make the reader try to allocate gigabytes.  Servers and clients
+#: take a per-connection override (``serve --max-frame``).
 MAX_FRAME = 8 * 1024 * 1024
 
 #: Hard cap on the sub-operations one ``batch`` frame may carry — a
@@ -216,9 +216,21 @@ async def read_frame_sized(
 ) -> "Tuple[Optional[Dict[str, Any]], int]":
     """Like :func:`read_frame` but also reports the frame's on-wire
     size (length prefix + payload) for the frame-bytes metrics."""
+    payload = await read_payload(reader, max_frame)
+    if payload is None:
+        return None, 0
+    return decode_payload(payload), _HEADER.size + len(payload)
+
+
+async def read_payload(
+    reader: asyncio.StreamReader,
+    max_frame: int = MAX_FRAME,
+) -> Optional[bytes]:
+    """Read one frame's raw payload bytes; None on clean EOF between
+    frames.  Raises like :func:`read_frame`, minus the decode errors."""
     header = await reader.read(_HEADER.size)
     if not header:
-        return None, 0
+        return None
     while len(header) < _HEADER.size:
         more = await reader.read(_HEADER.size - len(header))
         if not more:
@@ -232,12 +244,11 @@ async def read_frame_sized(
             )
         )
     try:
-        payload = await reader.readexactly(length)
+        return await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError(
             "connection closed inside a frame body"
         ) from exc
-    return decode_payload(payload), _HEADER.size + length
 
 
 def check_wire_version(message: Dict[str, Any]) -> None:

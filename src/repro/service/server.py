@@ -60,8 +60,9 @@ from .protocol import (
     error,
     ok,
     read_frame,
+    WIRE_VERSION,
 )
-from .wire import JSON_CODEC, WIRE_BINARY, WIRE_JSON, codec_for, negotiate
+from .wire import JsonCodec
 
 __all__ = [
     "LockServer",
@@ -145,8 +146,8 @@ class LockServer:
         #: The :class:`~repro.service.journal.RecoveryReport` of the
         #: start-time replay (None when running without a journal).
         self.recovery = None
-        #: Per-connection frame-size ceiling, both decode paths (JSON
-        #: and binary) and outgoing encodes alike.
+        #: Per-connection frame-size ceiling, for decoded and encoded
+        #: frames alike.
         self.max_frame = int(max_frame)
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -310,42 +311,15 @@ class LockServer:
             await asyncio.sleep(min(max(wake, 0.02), 0.1))
             await self._submit(self.core.expire_sessions)
 
-    # -- the reader-task fast lane -------------------------------------------
-
-    def _apply(self, fn: Callable[[], object]):
-        """Run one core step *now*, on the calling task.
-
-        The mirror of one :meth:`_writer_loop` pass — run, pump, group
-        flush — used by the v2 inline dispatch lane.  Safe because
-        core steps are synchronous and the writer task only ever
-        suspends between ops (at its queue get), never inside one, so
-        the lock table cannot be mid-mutation when the reader runs.
-        """
-        try:
-            return fn()
-        finally:
-            self.core.pump()
-            if self.core.journal is not None:
-                flush_started = perf_counter()
-                if self.core.journal.flush():
-                    self.core.stats.journal_flushes += 1
-                    if self.core.telemetry.enabled:
-                        self.core.telemetry.registry.histogram(
-                            "repro_journal_fsync_seconds",
-                            help="write+fsync latency of one journal "
-                            "group commit",
-                            buckets=_FSYNC_BUCKETS,
-                        ).observe(perf_counter() - flush_started)
-
     # -- connection handling -----------------------------------------------------
 
     def _observe_frame(
-        self, codec_name: str, direction: str, nbytes: int, seconds: float
+        self, direction: str, nbytes: int, seconds: float
     ) -> None:
         """Sampled wire telemetry: one observed frame stands for the
         :data:`_WIRE_SAMPLE` frames around it."""
         registry = self.core.telemetry.registry
-        labels = {"codec": codec_name, "direction": direction}
+        labels = {"direction": direction}
         registry.counter(
             "repro_wire_frames_total",
             help="frames on the wire (sampled, x{})".format(_WIRE_SAMPLE),
@@ -353,7 +327,7 @@ class LockServer:
         ).inc(_WIRE_SAMPLE)
         registry.histogram(
             "repro_frame_bytes",
-            help="on-wire frame size per codec and direction (sampled)",
+            help="on-wire frame size per direction (sampled)",
             labels=labels,
             buckets=_FRAME_BUCKETS,
         ).observe(nbytes)
@@ -367,7 +341,6 @@ class LockServer:
 
     async def _handle_connection(self, reader, writer) -> None:
         session: Optional[Session] = None
-        codec = JSON_CODEC
         max_frame = self.max_frame
         drain_lock = asyncio.Lock()
         tasks: Set[asyncio.Task] = set()
@@ -375,16 +348,14 @@ class LockServer:
         telemetry = self.core.telemetry
         nframes = 0
 
-        async def send(message: dict, reply_to: Optional[str] = None) -> None:
+        async def send(message: dict) -> None:
             message.setdefault("epoch", self.restart_epoch)
             if telemetry.enabled and nframes & _WIRE_SAMPLE_MASK == 0:
                 started = perf_counter()
-                data = codec.encode(message, reply_to, max_frame)
-                self._observe_frame(
-                    codec.name, "out", len(data), perf_counter() - started
-                )
+                data = JsonCodec.encode(message, max_frame)
+                self._observe_frame("out", len(data), perf_counter() - started)
             else:
-                data = codec.encode(message, reply_to, max_frame)
+                data = JsonCodec.encode(message, max_frame)
             # ``write`` appends the whole frame atomically; the lock only
             # serializes drains (the flow-control waiter is single-slot),
             # and a drain is only worth its loop hop once the transport
@@ -395,8 +366,6 @@ class LockServer:
                     await writer.drain()
 
         try:
-            # The handshake is always JSON; the reply tells both sides
-            # which codec every later frame uses.
             first = await read_frame(reader, max_frame)
             if first is None:
                 return
@@ -430,7 +399,8 @@ class LockServer:
             except ServiceError as exc:
                 await send(error(first.get("id"), exc.code, exc.message))
                 return
-            granted = negotiate(first.get("wire"))
+            # A ``wire`` field asking for another codec is ignored: with
+            # no grant in the reply the client stays on JSON v1.
             reply = ok(
                 first.get("id"),
                 session=session.sid,
@@ -439,11 +409,7 @@ class LockServer:
                 tids=sorted(session.tids),
                 server={
                     "version": __version__,
-                    # Capability advertisement: the newest wire dialect
-                    # this server speaks (the grant itself is the
-                    # top-level ``wire`` field, present only when
-                    # granted).
-                    "wire": WIRE_BINARY,
+                    "wire": WIRE_VERSION,
                     "period": self.period,
                     "continuous": self.continuous,
                     "shards": self.core.shards,
@@ -451,16 +417,8 @@ class LockServer:
                     "epoch": self.restart_epoch,
                 },
             )
-            if granted != WIRE_JSON:
-                # The switch signal: a v1 client never asked, so its
-                # reply — like every v1 frame — stays bit-for-bit.
-                reply["wire"] = granted
             await send(reply)
-            if granted != WIRE_JSON:
-                codec = codec_for(granted)
-                self.stats.binary_connections += 1
-            read_metered = codec.read_metered
-            fast_handlers = self._FAST_HANDLERS if codec.inline else None
+            read_metered = JsonCodec.read_metered
             while True:
                 frame, nbytes, decode_seconds = await read_metered(
                     reader, max_frame
@@ -469,27 +427,13 @@ class LockServer:
                     break
                 nframes += 1
                 if telemetry.enabled and nframes & _WIRE_SAMPLE_MASK == 0:
-                    self._observe_frame(
-                        codec.name, "in", nbytes, decode_seconds
-                    )
+                    self._observe_frame("in", nbytes, decode_seconds)
                 self.core.touch_session(session)
                 op = frame.get("op")
                 if op == "goodbye":
                     session.detached = True
                     await send(ok(frame.get("id")))
                     break
-                if fast_handlers is not None and not tasks:
-                    # The v2 inline lane: hot, never-parking ops run on
-                    # this task — no per-frame task spawn, no writer
-                    # queue hop.  Only when no spawned task is in
-                    # flight, so pipelined frames keep arrival order.
-                    handler = fast_handlers.get(op)
-                    if handler is not None:
-                        self.stats.inline_requests += 1
-                        await self._dispatch(
-                            session, frame, send, handler
-                        )
-                        continue
                 task = asyncio.ensure_future(
                     self._dispatch(session, frame, send)
                 )
@@ -526,9 +470,7 @@ class LockServer:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _dispatch(
-        self, session: Session, frame: dict, send, handler=None
-    ) -> None:
+    async def _dispatch(self, session: Session, frame: dict, send) -> None:
         request_id = frame.get("id")
         self.stats.requests += 1
         try:
@@ -539,8 +481,7 @@ class LockServer:
                         session.sid
                     ),
                 )
-            if handler is None:
-                handler = self._HANDLERS.get(frame.get("op"))
+            handler = self._HANDLERS.get(frame.get("op"))
             if handler is None:
                 raise ServiceError(
                     "bad-op", "unknown operation {!r}".format(frame.get("op"))
@@ -582,15 +523,14 @@ class LockServer:
                 frame.get("id"),
                 lease=session.lease,
                 remaining=max(session.deadline - self._loop.time(), 0.0),
-            ),
-            "heartbeat",
+            )
         )
 
     async def _op_begin(self, session, frame, send) -> None:
         tid = await self._submit(
             lambda: self.core.begin_step(session, frame.get("tid"))
         )
-        await send(ok(frame.get("id"), tid=tid), "begin")
+        await send(ok(frame.get("id"), tid=tid))
 
     async def _op_lock(self, session, frame, send) -> None:
         tid = int(frame["tid"])
@@ -631,9 +571,7 @@ class LockServer:
                 status = await self._submit(
                     lambda: self.core.cancel_wait(tid, parked)
                 )
-        await send(
-            ok(frame.get("id"), status=status, event=event), "lock"
-        )
+        await send(ok(frame.get("id"), status=status, event=event))
 
     async def _op_commit(self, session, frame, send) -> None:
         await self._finish(session, frame, send, aborting=False)
@@ -646,16 +584,13 @@ class LockServer:
         grants = await self._submit(
             lambda: self.core.finish_step(session, tid, aborting)
         )
-        await send(
-            ok(frame.get("id"), tid=tid, grants=grants),
-            "abort" if aborting else "commit",
-        )
+        await send(ok(frame.get("id"), tid=tid, grants=grants))
 
     async def _op_batch(self, session, frame, send) -> None:
         results = await self._submit(
             lambda: self.core.batch_step(session, frame.get("ops"))
         )
-        await send(ok(frame.get("id"), results=results), "batch")
+        await send(ok(frame.get("id"), results=results))
 
     async def _op_detect(self, session, frame, send) -> None:
         result = await self._submit(self.core.detect_step)
@@ -663,13 +598,13 @@ class LockServer:
 
     async def _op_snapshot(self, session, frame, send) -> None:
         payload = await self._submit(self.core.snapshot_step)
-        await send(ok(frame.get("id"), snapshot=payload), "snapshot")
+        await send(ok(frame.get("id"), snapshot=payload))
 
     async def _op_resolve(self, session, frame, send) -> None:
         reply = await self._submit(
             lambda: self.core.resolve_step(frame.get("plan"))
         )
-        await send(ok(frame.get("id"), reply=reply), "resolve")
+        await send(ok(frame.get("id"), reply=reply))
 
     async def _op_inspect(self, session, frame, send) -> None:
         payload = await self._submit(
@@ -731,52 +666,6 @@ class LockServer:
         value = await self._submit(self.manager.deadlocked)
         await send(ok(frame.get("id"), deadlocked=value))
 
-    # -- the v2 inline lane -------------------------------------------------
-    #
-    # Fast variants of the hot, never-parking ops: the same semantics
-    # as their _op_* twins, but the core step runs directly on the
-    # reader task (:meth:`_apply`) instead of hopping through the
-    # writer queue.  ``lock`` stays on the task path — a parked wait
-    # must not stall the connection's reader.
-
-    async def _fast_begin(self, session, frame, send) -> None:
-        tid = self._apply(
-            lambda: self.core.begin_step(session, frame.get("tid"))
-        )
-        await send(ok(frame.get("id"), tid=tid), "begin")
-
-    async def _fast_commit(self, session, frame, send) -> None:
-        await self._fast_finish(session, frame, send, aborting=False)
-
-    async def _fast_abort(self, session, frame, send) -> None:
-        await self._fast_finish(session, frame, send, aborting=True)
-
-    async def _fast_finish(self, session, frame, send, aborting) -> None:
-        tid = int(frame["tid"])
-        grants = self._apply(
-            lambda: self.core.finish_step(session, tid, aborting)
-        )
-        await send(
-            ok(frame.get("id"), tid=tid, grants=grants),
-            "abort" if aborting else "commit",
-        )
-
-    async def _fast_batch(self, session, frame, send) -> None:
-        results = self._apply(
-            lambda: self.core.batch_step(session, frame.get("ops"))
-        )
-        await send(ok(frame.get("id"), results=results), "batch")
-
-    async def _fast_snapshot(self, session, frame, send) -> None:
-        payload = self._apply(self.core.snapshot_step)
-        await send(ok(frame.get("id"), snapshot=payload), "snapshot")
-
-    async def _fast_resolve(self, session, frame, send) -> None:
-        reply = self._apply(
-            lambda: self.core.resolve_step(frame.get("plan"))
-        )
-        await send(ok(frame.get("id"), reply=reply), "resolve")
-
     _HANDLERS: Dict[
         str, Callable[["LockServer", Session, dict, object], Awaitable[None]]
     ] = {
@@ -798,18 +687,6 @@ class LockServer:
         "spans": _op_spans,
         "holding": _op_holding,
         "deadlocked": _op_deadlocked,
-    }
-
-    _FAST_HANDLERS: Dict[
-        str, Callable[["LockServer", Session, dict, object], Awaitable[None]]
-    ] = {
-        "heartbeat": _op_heartbeat,  # touches no core state: already fast
-        "begin": _fast_begin,
-        "commit": _fast_commit,
-        "abort": _fast_abort,
-        "batch": _fast_batch,
-        "snapshot": _fast_snapshot,
-        "resolve": _fast_resolve,
     }
 
 

@@ -65,10 +65,9 @@ class TestHandshake:
                 async with connected(server) as client:
                     assert client.session == "S1"
                     assert client.lease == server.lease
-                    # Capability advertisement: the newest wire dialect
-                    # the server speaks (the connection stays on v1
-                    # JSON unless the client asked).
-                    assert client.server_info["wire"] == 2
+                    # Capability advertisement: JSON v1 is the only
+                    # wire the server speaks.
+                    assert client.server_info["wire"] == 1
                     assert client.server_info["period"] is None
 
         asyncio.run(go())

@@ -29,10 +29,15 @@ SKIP_MODULES = {"repro.__main__"}
 WIRE_APPENDIX = """\
 ## Appendix: the lock service wire protocol
 
-`python -m repro serve` exposes the lock manager over TCP
-(`repro.service`).  Every frame is a **4-byte big-endian length prefix**
-followed by that many bytes of UTF-8 JSON; payloads above 8 MiB are
-rejected.  Every message carries the versioned envelope `{"v": 1, ...}`;
+`python -m repro serve` exposes the lock manager over TCP — or a
+UNIX-domain socket with `--unix PATH` (`repro.service`).  Every frame
+is a **4-byte big-endian length prefix** followed by that many bytes of
+UTF-8 JSON (`repro.service.wire.JsonCodec`, the one wire codec).
+Payloads above the frame limit (8 MiB by default, `--max-frame` to
+change it) are refused with a `frame-too-large` error (id `null`),
+checked on the *announced* length before any payload is buffered; the
+connection then closes, since resynchronizing past an unread payload
+is impossible.  Every message carries the versioned envelope `{"v": 1, ...}`;
 a peer meeting an unknown version answers with a clear `protocol` error
 instead of guessing.  Requests and responses are correlated by a
 client-chosen `id`, so one connection multiplexes any number of
@@ -95,10 +100,16 @@ re-attach with `resume` using the `token` its handshake returned —
 sessions, transactions and lock queues survive the restart via journal
 replay (see `docs/DURABILITY.md`).
 
+The `hello` reply advertises `server.wire` = 1.  A `wire` field in a
+`hello` or `resume` (older clients sent `"wire": 2` to ask for a binary
+framing this server no longer has) is ignored and never granted, so
+such a client stays on JSON for the whole connection.
+
 CLI entry points:
 
 ```
 python -m repro serve  --port 7411 --period 0.5 --lease 5 [--continuous]
+python -m repro serve  --unix /run/repro.sock [--max-frame BYTES]
 python -m repro serve  --port 7411 --policy periodic|continuous|nowait|adaptive|predict
 python -m repro serve  --port 7411 --journal sessions.jsonl [--journal-fsync batch]
 python -m repro serve  --port 7411 --workers 4 [--journal DIR]  # cluster supervisor
@@ -129,6 +140,11 @@ supervisor respawns dead workers from their journals.
 `python -m repro incidents` renders that log (`graph` emits Graphviz
 DOT).  The full metric catalog, the incident schema and the
 distributed-tracing model live in `docs/OBSERVABILITY.md`.
+`--unix PATH` is single-server only (it is rejected alongside
+`--workers`).  For the embed case,
+`repro.service.loopback.EmbeddedLockManager` skips the wire entirely:
+operations cross into the server's single-writer task as plain
+structured objects.
 """
 
 
