@@ -54,14 +54,13 @@ import os
 import sys
 from typing import List, Optional
 
-from .analysis.report import render_summaries
-from .core.hw_twbg import build_graph
 from .core.notation import load_table
 from .core.serialize import loads as table_loads
-from .core.trace import format_trace, trace_detection
 from .core.victim import CostTable
-from .lockmgr.introspect import render_report
 from .lockmgr.lock_table import LockTable
+
+# Helpers that only one command uses are imported inside that command,
+# so ``serve`` starts without loading the analysis package or numpy.
 
 #: Strategy factories by CLI name (built lazily to keep startup light).
 STRATEGIES = {
@@ -232,18 +231,24 @@ def validate_serve_config(
 
 
 def cmd_inspect(args) -> int:
+    from .lockmgr.introspect import render_report
+
     table = read_table(args.file)
     print(render_report(table))
     return 0
 
 
 def cmd_graph(args) -> int:
+    from .core.hw_twbg import build_graph
+
     graph = build_graph(read_table(args.file).snapshot())
     print(graph.to_dot() if args.dot else graph)
     return 0
 
 
 def cmd_detect(args) -> int:
+    from .core.trace import format_trace, trace_detection
+
     table = read_table(args.file)
     costs = parse_costs(args.cost)
     if args.trace:
@@ -293,6 +298,7 @@ def _spec_from_args(args):
 
 
 def cmd_simulate(args) -> int:
+    from .analysis.report import render_summaries
     from .sim.runner import run_once
 
     spec = _spec_from_args(args)
@@ -334,6 +340,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .analysis.report import render_summaries
     from .sim.runner import aggregate, compare_strategies
 
     spec = _spec_from_args(args)
@@ -592,7 +599,9 @@ def cmd_remote(args) -> int:
                 print((await client.metrics())["text"], end="")
             elif args.action == "log":
                 payload = await client.log(limit=args.limit)
-                print("{} events total".format(payload["total"]))
+                print("{} events total, showing {}".format(
+                    payload["total"], len(payload["events"])
+                ))
                 for event in payload["events"]:
                     print(event)
             else:  # detect

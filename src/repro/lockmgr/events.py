@@ -10,7 +10,9 @@ is reported as an event.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Deque, Iterator, List
 
 from ..core.modes import LockMode
 
@@ -60,3 +62,37 @@ class Repositioned:
 
     rid: str
     delayed: tuple
+
+
+#: How many of the newest events an :class:`EventLog` retains.  The
+#: periodic Steps 1-3 read only the current RST/TST, never past events,
+#: so the log is an operator's window, not a history.
+EVENT_LOG_CAPACITY = 1024
+
+
+class EventLog:
+    """The newest :data:`EVENT_LOG_CAPACITY` events a manager published,
+    oldest first, plus :attr:`total`, the count of every event ever
+    published.  Bounded so a long-running manager's memory stays flat."""
+
+    __slots__ = ("_events", "total")
+
+    def __init__(self) -> None:
+        self._events: Deque[object] = deque(maxlen=EVENT_LOG_CAPACITY)
+        self.total = 0
+
+    def append(self, event: object) -> None:
+        self._events.append(event)
+        self.total += 1
+
+    def tail(self, limit: int = 0) -> List[object]:
+        """The newest ``limit`` retained events (all of them when
+        ``limit`` is 0), oldest first."""
+        events = list(self._events)
+        return events[-limit:] if limit > 0 else events
+
+    def __iter__(self) -> Iterator[object]:
+        return iter(self._events)
+
+    def __len__(self) -> int:
+        return len(self._events)

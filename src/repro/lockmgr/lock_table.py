@@ -19,7 +19,7 @@ only offers consistent primitive updates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
 from ..core.errors import LockTableError, UnknownResourceError
 from ..core.requests import ResourceState
@@ -34,6 +34,9 @@ class LockTable:
         self._held: Dict[int, Set[str]] = {}
         self._blocked_at: Dict[int, str] = {}
         self._blocked_in_queue: Dict[int, bool] = {}
+        #: Called with the rid of every entry :meth:`drop_if_free`
+        #: removes (the sharded core forgets its first-lock sequence).
+        self.on_drop: Optional[Callable[[str], None]] = None
 
     # -- resource access -------------------------------------------------
 
@@ -58,6 +61,8 @@ class LockTable:
         state = self._resources.get(rid)
         if state is not None and state.is_free:
             del self._resources[rid]
+            if self.on_drop is not None:
+                self.on_drop(rid)
 
     def install(self, state: ResourceState) -> None:
         """Adopt a fully-built state (merge and deserialize paths):

@@ -20,7 +20,8 @@ bit-for-bit (the explorer's policy-equivalence oracle pins this down).
 
 All observable effects are returned as event lists
 (:mod:`repro.lockmgr.events`); the manager additionally keeps the
-cumulative event log for inspection by tests and the simulator.
+newest of them in a bounded :class:`~repro.lockmgr.events.EventLog`
+for inspection by tests and operators.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..core.errors import LockTableError
 from ..core.hw_twbg import HWTWBG, build_graph
 from ..core.modes import LockMode
 from ..core.victim import CostTable
-from .events import Aborted, Granted
+from .events import Aborted, EventLog, Granted
 from .lock_table import LockTable
 from . import scheduler
 
@@ -86,7 +87,7 @@ class LockManager:
         ).bind(self)
         self.continuous = self.policy.continuous
         self._periodic = PeriodicDetector(self.table, self.costs)
-        self.log: List[object] = []
+        self.log = EventLog()
         self.listener = listener
         self._aborted: Set[int] = set()
         #: Result of the continuous check triggered by the most recent
@@ -171,7 +172,7 @@ class LockManager:
         self._publish(*result.grants)
 
     def _publish(self, *events) -> None:
-        """Append events to the cumulative log and notify the listener."""
+        """Append events to the bounded log and notify the listener."""
         for event in events:
             self.log.append(event)
             if self.listener is not None:

@@ -48,9 +48,12 @@ Equivalence with the monolithic manager: the Step-2 walk visits
 resources in the RST's first-lock order, so the merged snapshot must
 present resources in the *global* first-lock order, not shard
 concatenation order — the router keeps a global sequence number per
-resource, re-assigned when a resource re-enters a shard table (the
-exact semantics of a Python dict delete + re-insert, which is what the
-monolithic table does via ``drop_if_free``).  With that ordering the
+resource, forgotten when the resource leaves its shard table and drawn
+afresh when it re-enters (the exact semantics of a Python dict delete +
+re-insert, which is what the monolithic table does via
+``drop_if_free``), so the map stays the size of the locked set.  Each
+snapshot reads a shard's sequence numbers under that shard's mutex,
+together with its resources.  With that ordering the
 merged RST is byte-for-byte the monolithic RST, so a quiescent pass
 finds the same cycles, chooses the same victims and applies the same
 repositionings — the property the sharded-vs-monolithic equivalence
@@ -82,7 +85,7 @@ from ..core.hw_twbg import HWTWBG, build_graph
 from ..core.modes import LockMode
 from ..core.requests import ResourceState
 from ..core.victim import CostTable, RepositionCandidate
-from .events import Aborted, Granted, Repositioned
+from .events import Aborted, EventLog, Granted, Repositioned
 from .lock_table import LockTable
 from .partition import partition_of
 from . import scheduler
@@ -198,12 +201,13 @@ class MergedTableView:
 
     def _states(self) -> List[ResourceState]:
         states: List[ResourceState] = []
+        order: Dict[str, int] = {}
         for shard in self._core.shards:
             with shard.mutex:
-                states.extend(shard.table.resources())
-        order = self._core.sequence_map()
-        fallback = len(order)
-        states.sort(key=lambda state: order.get(state.rid, fallback))
+                states.extend(
+                    self._core.sequenced(shard.table.resources(), order)
+                )
+        states.sort(key=lambda state: order[state.rid])
         return states
 
     # -- resource access ------------------------------------------------
@@ -309,7 +313,7 @@ class ShardedLockCore:
         #: supplies the default when ``policy=None``.
         self.policy = resolved.bind(self)
         self.continuous = self.policy.continuous
-        self.log: List[object] = []
+        self.log = EventLog()
         self.listener = listener
         self.last_detection = None
         self._aborted: Set[int] = set()
@@ -324,6 +328,8 @@ class ShardedLockCore:
         self._seq: Dict[str, int] = {}
         self._next_seq = 0
         self._sequence_source = sequence_source
+        for shard in self.shards:
+            shard.table.on_drop = self._forget_sequence
         self._txn_lock = threading.Lock()
         self._detect_lock = threading.RLock()
         self._periodic = (
@@ -349,6 +355,23 @@ class ShardedLockCore:
         """Copy of the global first-lock order (rid -> sequence)."""
         with self._txn_lock:
             return dict(self._seq)
+
+    def sequenced(
+        self, states, order: Dict[str, int]
+    ) -> List[ResourceState]:
+        """Record the first-lock sequence of each of ``states`` (one
+        shard's resources, read under that shard's mutex) in ``order``;
+        returns the states as a list."""
+        states = list(states)
+        with self._txn_lock:
+            for state in states:
+                order[state.rid] = self._seq[state.rid]
+        return states
+
+    def _forget_sequence(self, rid: str) -> None:
+        """``rid`` left its shard table; a re-lock draws a fresh number."""
+        with self._txn_lock:
+            self._seq.pop(rid, None)
 
     def sequence_of(self, rid: str) -> Optional[int]:
         """The first-lock sequence number of ``rid`` (None if never
@@ -395,15 +418,6 @@ class ShardedLockCore:
                             tid
                         )
                     )
-                if rid not in shard.table:
-                    # First lock (or re-lock after drop_if_free): the
-                    # resource re-enters the global iteration order at
-                    # the end, exactly like a dict delete + re-insert.
-                    if self._sequence_source is not None:
-                        self._seq[rid] = int(self._sequence_source())
-                    else:
-                        self._seq[rid] = self._next_seq
-                        self._next_seq += 1
                 self._affinity.setdefault(tid, set()).add(shard.index)
             blocked_rid = self.blocked_at(tid)
             if blocked_rid is not None and (
@@ -415,7 +429,19 @@ class ShardedLockCore:
                     "transaction {} is already blocked at {} and cannot "
                     "also wait at {}".format(tid, blocked_rid, rid)
                 )
+            fresh = rid not in shard.table
             outcome = scheduler.request(shard.table, tid, rid, mode)
+            if fresh:
+                # First lock (or re-lock after drop_if_free): the
+                # resource re-enters the global iteration order at the
+                # end, exactly like a dict delete + re-insert.  Drawn
+                # after the request so a rejected one leaves no entry.
+                with self._txn_lock:
+                    if self._sequence_source is not None:
+                        self._seq[rid] = int(self._sequence_source())
+                    else:
+                        self._seq[rid] = self._next_seq
+                        self._next_seq += 1
             shard.epoch += 1
             self._publish(outcome.event)
             self.last_detection = None
@@ -476,17 +502,16 @@ class ShardedLockCore:
         )
         # Phase 1 — snapshot: lock each shard briefly, in shard order.
         states: List[ResourceState] = []
+        order: Dict[str, int] = {}
         epochs: List[int] = []
         for shard in self.shards:
             started = perf_counter()
             with shard.mutex:
-                states.extend(shard.table.snapshot())
+                states.extend(self.sequenced(shard.table.snapshot(), order))
                 epochs.append(shard.epoch)
             info.snapshot_seconds[shard.index] = perf_counter() - started
         # Phase 2 — merge: one RST in global first-lock order.
-        order = self.sequence_map()
-        fallback = len(order)
-        states.sort(key=lambda state: order.get(state.rid, fallback))
+        states.sort(key=lambda state: order[state.rid])
         merged = LockTable()
         for state in states:
             merged.install(state)
@@ -579,25 +604,20 @@ class ShardedLockCore:
 
         started = perf_counter()
         states: List[ResourceState] = []
+        order: Dict[str, int] = {}
         epochs: List[int] = []
         for shard in self.shards:
             with shard.mutex:
-                states.extend(shard.table.snapshot())
+                states.extend(self.sequenced(shard.table.snapshot(), order))
                 epochs.append(shard.epoch)
-        order = self.sequence_map()
-        fallback = len(order)
-        states.sort(key=lambda state: order.get(state.rid, fallback))
+        states.sort(key=lambda state: order[state.rid])
         return {
             "v": FORMAT_VERSION,
             "table": {
                 "v": FORMAT_VERSION,
                 "resources": [state_to_dict(state) for state in states],
             },
-            "sequence": {
-                state.rid: order[state.rid]
-                for state in states
-                if state.rid in order
-            },
+            "sequence": {state.rid: order[state.rid] for state in states},
             "epochs": epochs,
             "seconds": perf_counter() - started,
         }

@@ -227,9 +227,11 @@ def spans_payload(
 
 
 def log_payload(manager: LockManager, limit: int = 100) -> Dict[str, Any]:
-    """The tail of the manager's cumulative event log as wire events."""
-    tail = manager.log[-limit:] if limit else list(manager.log)
+    """The manager's event log as wire events: ``total`` counts every
+    event ever published, ``events`` holds the newest ``limit`` of the
+    retained ones (``limit=0``: all retained, at most
+    :data:`~repro.lockmgr.events.EVENT_LOG_CAPACITY`)."""
     return {
-        "total": len(manager.log),
-        "events": [event_to_dict(event) for event in tail],
+        "total": manager.log.total,
+        "events": [event_to_dict(event) for event in manager.log.tail(limit)],
     }

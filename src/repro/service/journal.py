@@ -48,6 +48,18 @@ Restart epochs.  Every recovery appends a ``boot`` record; the count of
 boot records is the server's *restart epoch*, stamped into every wire
 response so clients can observe that they are talking to a reincarnation
 (and resume by session token — the ``resume`` op).
+
+Memory model.  A file-backed journal keeps no copy of what it wrote:
+the file is the store.  It holds the durable prefix it loaded at open
+only until :func:`recover_into` has replayed it, then counts records and
+boots, and buffers the lines not yet flushed.  ``records()``,
+``to_text()`` and ``len()`` read the file plus that unflushed tail, so a
+long-running server's memory stays flat while its journal file grows
+(the file itself waits for checkpoint records).  Opening a file whose
+tail is torn cuts the file back to its durable prefix, so records
+appended after a recovery follow the last good line.  An in-memory
+journal (``path=None``) keeps its records in a list, because that list
+is its store.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Accepted values for the ``fsync`` policy knob.
 FSYNC_POLICIES = ("always", "batch", "never")
@@ -90,6 +102,27 @@ def decode_record(line: str) -> Optional[Dict[str, Any]]:
     return record
 
 
+def parse_text(text: str) -> Tuple[List[Dict[str, Any]], str, int]:
+    """Split journal text into its durable prefix: returns the decoded
+    records, the prefix's text, and how many lines after it were torn
+    or corrupt."""
+    records: List[Dict[str, Any]] = []
+    lines = text.splitlines()
+    durable = 0
+    for position, (line, raw) in enumerate(
+        zip(lines, text.splitlines(keepends=True))
+    ):
+        if line.strip():
+            record = decode_record(line)
+            if record is None:
+                # Torn or corrupt: everything from here on is not part
+                # of the durable prefix.
+                return records, text[:durable], len(lines) - position
+            records.append(record)
+        durable += len(raw)
+    return records, text, 0
+
+
 class SessionJournal:
     """Append-only session/lease/lock journal (see module docstring).
 
@@ -110,7 +143,14 @@ class SessionJournal:
             )
         self.path = path
         self.fsync = fsync
-        self._records: List[Dict[str, Any]] = []
+        #: The store of an in-memory journal (None when file-backed).
+        self._records: Optional[List[Dict[str, Any]]] = (
+            [] if path is None else None
+        )
+        #: A file-backed journal's loaded durable prefix, until replayed.
+        self._loaded: List[Dict[str, Any]] = []
+        self._count = 0
+        self._boots = 0
         self._pending: List[str] = []
         self._file = None
         #: Lines beyond the durable prefix dropped at load time.
@@ -120,31 +160,40 @@ class SessionJournal:
         self.flushes = 0
         self.fsyncs = 0
         if path is not None:
+            durable = ""
             if os.path.exists(path):
                 with open(path, "r", encoding="utf-8") as handle:
-                    self._load_text(handle.read())
+                    text = handle.read()
+                records, durable, self.corrupt_tail = parse_text(text)
+                self._adopt(records)
+                if durable != text:
+                    # Cut the torn tail so new records follow the last
+                    # good line instead of the garbage after it.
+                    with open(path, "r+", encoding="utf-8") as handle:
+                        handle.truncate(len(durable.encode("utf-8")))
             self._file = open(path, "a", encoding="utf-8")
+            if durable and not durable.endswith("\n"):
+                self._file.write("\n")
 
     # -- loading -----------------------------------------------------------
 
-    def _load_text(self, text: str) -> None:
-        lines = text.splitlines()
-        for position, line in enumerate(lines):
-            if not line.strip():
-                continue
-            record = decode_record(line)
-            if record is None:
-                # Torn or corrupt: everything from here on is not part
-                # of the durable prefix.
-                self.corrupt_tail = len(lines) - position
-                break
-            self._records.append(record)
+    def _adopt(self, records: List[Dict[str, Any]]) -> None:
+        """Take ``records`` as this journal's (durable) contents."""
+        if self._records is not None:
+            self._records.extend(records)
+        else:
+            self._loaded = records
+        self._count += len(records)
+        self._boots += sum(
+            1 for record in records if record.get("kind") == "boot"
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "SessionJournal":
         """An in-memory journal holding ``text``'s durable prefix."""
         journal = cls()
-        journal._load_text(text)
+        records, _, journal.corrupt_tail = parse_text(text)
+        journal._adopt(records)
         return journal
 
     @classmethod
@@ -152,17 +201,30 @@ class SessionJournal:
         """An in-memory journal holding copies of ``records`` (the
         property suites use this to cut at record boundaries)."""
         journal = cls()
-        journal._records = [dict(record) for record in records]
+        journal._adopt([dict(record) for record in records])
         return journal
+
+    def take_replay(self) -> List[Dict[str, Any]]:
+        """The records recovery replays: every record of an in-memory
+        journal; a file-backed journal's loaded durable prefix, handed
+        over once and then dropped (the file is its copy)."""
+        if self._records is not None:
+            return list(self._records)
+        loaded, self._loaded = self._loaded, []
+        return loaded
 
     # -- appending ---------------------------------------------------------
 
     def append(self, kind: str, **fields: Any) -> Dict[str, Any]:
         record: Dict[str, Any] = {"kind": kind}
         record.update(fields)
-        self._records.append(record)
+        self._count += 1
+        if kind == "boot":
+            self._boots += 1
         self.appended += 1
-        if self._file is not None:
+        if self._records is not None:
+            self._records.append(record)
+        elif self._file is not None:
             self._pending.append(encode_record(record))
             if self.fsync == "always":
                 self.flush()
@@ -204,24 +266,39 @@ class SessionJournal:
     # -- introspection -----------------------------------------------------
 
     def records(self) -> List[Dict[str, Any]]:
-        return list(self._records)
+        """Every record, oldest first (a file-backed journal reads its
+        file plus the unflushed tail)."""
+        if self._records is not None:
+            return list(self._records)
+        return [decode_record(line) for line in self._lines()]
+
+    def _lines(self) -> List[str]:
+        """A file-backed journal's encoded lines: file, then pending."""
+        lines: List[str] = []
+        if os.path.exists(self.path):
+            with open(self.path, "r", encoding="utf-8") as handle:
+                lines = [
+                    line for line in handle.read().splitlines()
+                    if line.strip()
+                ]
+        return lines + self._pending
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     @property
     def epoch(self) -> int:
         """Restart epoch: how many times a server booted on this
         journal (the envelope's ``epoch`` field)."""
-        return sum(
-            1 for record in self._records if record.get("kind") == "boot"
-        )
+        return self._boots
 
     def to_text(self) -> str:
         """The full journal as line-encoded text (tests corrupt this)."""
-        return "\n".join(
-            encode_record(record) for record in self._records
-        )
+        if self._records is not None:
+            return "\n".join(
+                encode_record(record) for record in self._records
+            )
+        return "\n".join(self._lines())
 
 
 @dataclass
@@ -267,7 +344,7 @@ def recover_into(core, journal: SessionJournal, now: Optional[float] = None):
     was_enabled = core.telemetry.enabled
     core.telemetry.enabled = False
     try:
-        for record in journal.records():
+        for record in journal.take_replay():
             kind = record.get("kind")
             try:
                 if kind == "boot":

@@ -13,8 +13,14 @@ import pytest
 
 from repro.core.errors import TransactionAborted
 from repro.core.modes import LockMode
+from repro.lockmgr.events import EVENT_LOG_CAPACITY
 from repro.service import AsyncLockClient, LockServer, ServiceError
-from repro.service.protocol import encode_frame, read_frame, request
+from repro.service.protocol import (
+    MAX_BATCH_OPS,
+    encode_frame,
+    read_frame,
+    request,
+)
 
 #: The scripted request order that reaches the paper's Example 4.1 state
 #: (mirrors tests.conftest.build_example_41_by_requests): (tid, rid,
@@ -384,6 +390,28 @@ class TestIntrospectionOps:
                         "granted",
                         "blocked",
                     ]
+
+        asyncio.run(go())
+
+    def test_log_counts_every_event_and_returns_a_bounded_tail(self):
+        async def go():
+            async with running_server(period=None) as server:
+                async with connected(server) as client:
+                    tid = await client.begin()
+                    count = EVENT_LOG_CAPACITY + 100
+                    rids = ["R{}".format(n) for n in range(count)]
+                    for start in range(0, count, MAX_BATCH_OPS):
+                        assert await client.acquire_many(tid, [
+                            (rid, LockMode.S)
+                            for rid in rids[start:start + MAX_BATCH_OPS]
+                        ])
+                    tail = await client.log(limit=5)
+                    assert tail["total"] == count
+                    assert [e["rid"] for e in tail["events"]] == rids[-5:]
+                    everything = await client.log(limit=0)
+                    assert everything["total"] == count
+                    assert len(everything["events"]) == EVENT_LOG_CAPACITY
+                    assert everything["events"][-5:] == tail["events"]
 
         asyncio.run(go())
 

@@ -184,6 +184,20 @@ class TestServiceCommands:
         assert main(["remote", "log", "--port", port]) == 0
         assert "events total" in capsys.readouterr().out
 
+    def test_remote_log_says_how_many_it_shows(self, running_service, capsys):
+        from repro.core.modes import LockMode
+        from repro.service import RemoteLockManager
+
+        port = running_service.port
+        with RemoteLockManager("127.0.0.1", port) as manager:
+            for rid in ("R1", "R2", "R3"):
+                manager.acquire(1, rid, LockMode.S, timeout=2.0)
+            args = ["remote", "log", "--port", str(port), "--limit", "2"]
+            assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "3 events total, showing 2"
+        assert len(lines) == 3
+
     def test_remote_connection_refused(self, capsys):
         code = main(["remote", "stats", "--port", "1"])
         assert code == 1

@@ -68,7 +68,7 @@ error     {"v": 1, "id": 7, "ok": false,
 | `inspect` | — | operator `report`, `resources`, `blocked` |
 | `graph` | `dot?` | H/W-TWBG `edges`, `cycles`, `text`, optional `dot` |
 | `dump` | — | versioned lock-table snapshot + paper notation `text` |
-| `log` | `limit?` | tail of the manager's event log |
+| `log` | `limit?` | `total` (every event the manager ever published) and `events`: the newest `limit` of the ≤1024 it retains (`limit=0`: all retained) |
 | `stats` | — | `ServiceStats` counters + live gauges |
 | `metrics` | — | full telemetry: registry snapshot `metrics`, Prometheus `text`, `enabled` |
 | `spans` | `limit?`, `annotations?` | span log: `total` (lifecycle), `annotations` (born-finished pass/resolution spans, listed when `annotations` is true), `open`, `spans` (see `docs/OBSERVABILITY.md`) |
