@@ -23,25 +23,32 @@ Quickstart::
     print(result.aborted, result.spared)
 """
 
-from .core import (
-    ContinuousDetector,
-    CostTable,
-    DetectionResult,
-    HWTWBG,
-    LockMode,
-    PeriodicDetector,
-    ResourceState,
-    TransactionAborted,
-    build_graph,
-    compatible,
-    convert,
-    detect_once,
-    parse_resource,
-    parse_table,
-)
-from .lockmgr import LockManager, LockTable
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "ContinuousDetector",
+            "CostTable",
+            "DetectionResult",
+            "HWTWBG",
+            "LockMode",
+            "PeriodicDetector",
+            "ResourceState",
+            "TransactionAborted",
+            "build_graph",
+            "compatible",
+            "convert",
+            "detect_once",
+            "parse_resource",
+            "parse_table",
+        ),
+        ".lockmgr": ("LockManager", "LockTable"),
+    },
+)
 
 __all__ = [
     "ContinuousDetector",

@@ -54,8 +54,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .core.notation import load_table
-from .core.serialize import loads as table_loads
 from .core.victim import CostTable
 from .lockmgr.lock_table import LockTable
 
@@ -89,7 +87,11 @@ def read_table(path: str) -> LockTable:
     with open(path) as handle:
         text = handle.read()
     if path.endswith(".json"):
-        return table_loads(text)
+        from .core.serialize import loads
+
+        return loads(text)
+    from .core.notation import load_table
+
     return load_table(LockTable(), text)
 
 

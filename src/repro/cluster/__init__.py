@@ -26,17 +26,24 @@ its own worker **process**:
   the ``cluster`` explorer backend and fast unit tests.
 """
 
-from .coordinator import (
-    ClusterDetection,
-    ClusterPass,
-    apply_resolution_plan,
-    merge_snapshots,
-    run_cluster_pass,
-    worker_of,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".coordinator": (
+            "ClusterDetection",
+            "ClusterPass",
+            "apply_resolution_plan",
+            "merge_snapshots",
+            "run_cluster_pass",
+            "worker_of",
+        ),
+        ".client": ("ClusterLockManager",),
+        ".local": ("LocalCluster",),
+        ".supervisor": ("ClusterSupervisor",),
+    },
 )
-from .client import ClusterLockManager
-from .local import LocalCluster
-from .supervisor import ClusterSupervisor
 
 __all__ = [
     "ClusterDetection",

@@ -49,10 +49,10 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.detection import DetectionStats, PeriodicDetector
-from ..core.serialize import table_from_dict
+from ..core.serialize import state_from_dict
 from ..core.victim import CostTable, RepositionCandidate
 from ..lockmgr.events import Granted, Repositioned
-from ..lockmgr.lock_table import LockTable
+from ..lockmgr.lock_table import LockTable, merge_cut
 from ..lockmgr.partition import partition_of
 from ..service.protocol import event_from_dict, event_to_dict
 
@@ -197,7 +197,9 @@ def merge_snapshots(
     Returns ``(merged table, unreachable worker indexes, per-worker
     snapshot seconds)``.  Resources sort by their cluster-wide
     first-lock sequence number, which reproduces the iteration order of
-    a single-process table fed the same request stream.
+    a single-process table fed the same request stream.  A transaction
+    seen waiting on two workers of one cut is mid-move and left out of
+    the merged waits (:func:`~repro.lockmgr.lock_table.merge_cut`).
     """
     unreachable: List[int] = []
     seconds = [0.0] * len(payloads)
@@ -214,9 +216,7 @@ def merge_snapshots(
             key = (0, int(raw)) if raw is not None else (1, 0)
             entries.append((key, index, position, entry))
     entries.sort(key=lambda item: (item[0], item[1], item[2]))
-    merged = table_from_dict(
-        {"v": 1, "resources": [entry[-1] for entry in entries]}
-    )
+    merged = merge_cut(state_from_dict(entry[-1]) for entry in entries)
     return merged, unreachable, seconds
 
 

@@ -16,7 +16,6 @@ policy that mutates them according to Section 3 lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import LockTableError
@@ -29,8 +28,36 @@ from .modes import (
 )
 
 
-@dataclass
-class HolderEntry:
+class _Record:
+    """Field-wise ``__eq__`` and ``Name(field=value, ...)`` ``__repr__``
+    over ``_fields`` — what ``@dataclass`` generates.  The records are
+    slotted classes instead (no per-instance dict: the lock table holds
+    one of each per lock), which ``dataclass`` cannot make before
+    Python 3.10."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]  # mutable, like a dataclass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        return "{}({})".format(
+            self.__class__.__qualname__,
+            ", ".join(
+                "{}={!r}".format(name, value)
+                for name, value in zip(self._fields, self._values())
+            ),
+        )
+
+
+class HolderEntry(_Record):
     """One member of a resource's holder list: ``(tid, gm, bm)``.
 
     ``blocked`` is ``NL`` while the holder is not waiting; when a lock
@@ -38,9 +65,14 @@ class HolderEntry:
     ``Conv(gm, requested)`` the holder is waiting to reach.
     """
 
-    tid: int
-    granted: LockMode
-    blocked: LockMode = LockMode.NL
+    __slots__ = _fields = ("tid", "granted", "blocked")
+
+    def __init__(
+        self, tid: int, granted: LockMode, blocked: LockMode = LockMode.NL
+    ) -> None:
+        self.tid = tid
+        self.granted = granted
+        self.blocked = blocked
 
     @property
     def is_blocked(self) -> bool:
@@ -56,12 +88,14 @@ class HolderEntry:
         )
 
 
-@dataclass
-class QueueEntry:
+class QueueEntry(_Record):
     """One member of a resource's queue: ``(tid, bm)``."""
 
-    tid: int
-    blocked: LockMode
+    __slots__ = _fields = ("tid", "blocked")
+
+    def __init__(self, tid: int, blocked: LockMode) -> None:
+        self.tid = tid
+        self.blocked = blocked
 
     def copy(self) -> "QueueEntry":
         return QueueEntry(self.tid, self.blocked)
@@ -75,8 +109,7 @@ def _tname(tid: int) -> str:
     return "T{}".format(tid)
 
 
-@dataclass
-class ResourceState:
+class ResourceState(_Record):
     """Complete lock-table entry for one resource.
 
     The ``total`` field caches the paper's total mode.  Beyond it, the
@@ -105,12 +138,26 @@ class ResourceState:
     all summaries against a rescan.
     """
 
-    rid: str
-    holders: List[HolderEntry] = field(default_factory=list)
-    queue: List[QueueEntry] = field(default_factory=list)
-    total: LockMode = LockMode.NL
+    _fields = ("rid", "holders", "queue", "total")
+    __slots__ = _fields + (
+        "_granted_counts",
+        "_blocked_counts",
+        "_granted_mask",
+        "_blocked_mask",
+        "_av_cache",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        rid: str,
+        holders: Optional[List[HolderEntry]] = None,
+        queue: Optional[List[QueueEntry]] = None,
+        total: LockMode = LockMode.NL,
+    ) -> None:
+        self.rid = rid
+        self.holders: List[HolderEntry] = [] if holders is None else holders
+        self.queue: List[QueueEntry] = [] if queue is None else queue
+        self.total = total
         # The summaries always describe ``holders``/``queue``; ``total``
         # is left exactly as passed (tests build deliberately
         # inconsistent totals to exercise the verifier).

@@ -1,33 +1,40 @@
 """The lock manager substrate: lock table, Section-3 scheduler and the
 LockManager façade."""
 
-from .concurrent import ConcurrentLockManager
-from .events import Aborted, Blocked, Granted, Repositioned
-from .introspect import (
-    BlockExplanation,
-    explain_block,
-    render_report,
-    wait_graph_summary,
-)
-from .lock_table import LockTable
-from .manager import LockManager
-from .sharded import (
-    MergedTableView,
-    ShardedLockCore,
-    ShardedLockManager,
-    ShardedPass,
-    resolve_shard_count,
-    shard_of,
-)
-from .scheduler import (
-    RequestOutcome,
-    conversion_grantable,
-    release_all,
-    remove_holder,
-    remove_waiter,
-    reposition_queue,
-    request,
-    sweep,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".concurrent": ("ConcurrentLockManager",),
+        ".events": ("Aborted", "Blocked", "Granted", "Repositioned"),
+        ".introspect": (
+            "BlockExplanation",
+            "explain_block",
+            "render_report",
+            "wait_graph_summary",
+        ),
+        ".lock_table": ("LockTable",),
+        ".manager": ("LockManager",),
+        ".sharded": (
+            "MergedTableView",
+            "ShardedLockCore",
+            "ShardedLockManager",
+            "ShardedPass",
+            "resolve_shard_count",
+            "shard_of",
+        ),
+        ".scheduler": (
+            "RequestOutcome",
+            "conversion_grantable",
+            "release_all",
+            "remove_holder",
+            "remove_waiter",
+            "reposition_queue",
+            "request",
+            "sweep",
+        ),
+    },
 )
 
 __all__ = [

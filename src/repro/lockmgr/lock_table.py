@@ -19,9 +19,10 @@ only offers consistent primitive updates.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from ..core.errors import LockTableError, UnknownResourceError
+from ..core.modes import LockMode
 from ..core.requests import ResourceState
 
 
@@ -161,3 +162,38 @@ class LockTable:
 
     def __str__(self) -> str:
         return "\n".join(str(state) for state in self._resources.values())
+
+
+def merge_cut(states: Iterable[ResourceState]) -> LockTable:
+    """One RST from the partition slices of a cut: ``states`` are
+    private copies, already in global first-lock order.
+
+    The partitions of a cut are read one after another, so a
+    transaction granted at a resource in an early partition and then
+    blocked at one in a later partition shows up waiting in both.  It
+    is mid-move, not deadlocked: its waits are left out of the merged
+    table (so Axiom 1 holds and nothing raises), and a real cycle
+    through it is stable, so the next pass's cut shows it whole.
+    """
+    states = list(states)
+    waits: Dict[int, int] = {}
+    for state in states:
+        for tid in state.waiting_tids():
+            waits[tid] = waits.get(tid, 0) + 1
+    torn = {tid for tid, count in waits.items() if count > 1}
+    merged = LockTable()
+    for state in states:
+        if torn and torn.intersection(state.waiting_tids()):
+            _drop_waits(state, torn)
+        merged.install(state)
+    return merged
+
+
+def _drop_waits(state: ResourceState, tids: Set[int]) -> None:
+    """Out-of-band surgery on a copy: ``tids`` leave the queue and their
+    blocked conversions fall back to the granted mode."""
+    state.queue = [entry for entry in state.queue if entry.tid not in tids]
+    for holder in state.holders:
+        if holder.tid in tids:
+            holder.blocked = LockMode.NL
+    state.recompute_total()

@@ -19,9 +19,11 @@ This module exploits that split:
   shard-affinity map, shared cost table) kept under one small lock.
 * The periodic pass snapshots each shard briefly *in shard order*
   (epoch-stamped deep copies), merges the per-shard wait edges into
-  one global RST ordered by the global first-lock sequence, runs the
-  **unchanged** Section-5 machinery (:class:`PeriodicDetector`: TST
-  walk, TRRP, TDR-1/TDR-2) on the merged snapshot, and routes the
+  one global RST ordered by the global first-lock sequence (a
+  transaction caught mid-move, waiting in two shards of one cut, is
+  left out of that pass: :func:`~repro.lockmgr.lock_table.merge_cut`),
+  runs the **unchanged** Section-5 machinery (:class:`PeriodicDetector`:
+  TST walk, TRRP, TDR-1/TDR-2) on the merged snapshot, and routes the
   resolutions back to the owning shards — confirming each victim is
   still blocked where the snapshot saw it and re-validating each
   TDR-2 repositioning against the live queue (stale ones are skipped
@@ -76,6 +78,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Set
 
+from ..core.detection import DetectionResult, PeriodicDetector
 from ..core.errors import (
     LockTableError,
     TransactionAborted,
@@ -86,7 +89,7 @@ from ..core.modes import LockMode
 from ..core.requests import ResourceState
 from ..core.victim import CostTable, RepositionCandidate
 from .events import Aborted, EventLog, Granted, Repositioned
-from .lock_table import LockTable
+from .lock_table import LockTable, merge_cut
 from .partition import partition_of
 from . import scheduler
 
@@ -301,7 +304,6 @@ class ShardedLockCore:
         sequence_source: Optional[Callable[[], int]] = None,
         policy=None,
     ) -> None:
-        from ..core.detection import PeriodicDetector
         from ..policy import resolve_policy
 
         resolved = resolve_policy(policy, continuous=continuous, env=True)
@@ -494,8 +496,6 @@ class ShardedLockCore:
             return self._detect_sharded()
 
     def _detect_sharded(self):
-        from ..core.detection import DetectionResult, PeriodicDetector
-
         info = ShardedPass(
             shards=len(self.shards),
             snapshot_seconds=[0.0] * len(self.shards),
@@ -512,9 +512,7 @@ class ShardedLockCore:
             info.snapshot_seconds[shard.index] = perf_counter() - started
         # Phase 2 — merge: one RST in global first-lock order.
         states.sort(key=lambda state: order[state.rid])
-        merged = LockTable()
-        for state in states:
-            merged.install(state)
+        merged = merge_cut(states)
         info.merged_resources = len(states)
         blocked_at_snapshot = {
             tid: merged.blocked_at(tid) for tid in merged.blocked_tids()

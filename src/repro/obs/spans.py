@@ -48,7 +48,7 @@ class Span:
     """One lock request's lifecycle (see module docstring)."""
 
     __slots__ = (
-        "span_id", "tid", "rid", "mode", "kind", "status", "events",
+        "span_id", "tid", "rid", "mode", "kind", "status", "phases",
         "trace", "parent", "unfinished",
     )
 
@@ -73,7 +73,9 @@ class Span:
         #: applied on a worker, ``pass`` for a whole detector pass.
         self.kind = kind
         self.status = "requested"
-        self.events: List[Dict[str, float]] = []
+        #: Phase events as ``(phase, wall, virtual)`` tuples; exported
+        #: (:attr:`events`) as ``{"phase", "wall", "virtual"}`` dicts.
+        self.phases: List[Tuple[str, float, float]] = []
         #: Propagated trace context: the client-minted trace id this
         #: span belongs to, and the span ref of its causal parent
         #: (``origin:span_id`` — cross-process-unique).
@@ -87,6 +89,14 @@ class Span:
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATES
 
+    @property
+    def events(self) -> List[Dict[str, object]]:
+        """The phase events in export form, oldest first."""
+        return [
+            {"phase": phase, "wall": wall, "virtual": virtual}
+            for phase, wall, virtual in self.phases
+        ]
+
     def to_dict(self) -> dict:
         record = {
             "span": self.span_id,
@@ -95,7 +105,7 @@ class Span:
             "mode": self.mode,
             "kind": self.kind,
             "status": self.status,
-            "events": list(self.events),
+            "events": self.events,
         }
         if self.trace is not None:
             record["trace"] = self.trace
@@ -334,9 +344,7 @@ class TraceLog:
         return span
 
     def _stamp(self, span: Span, phase: str) -> None:
-        span.events.append(
-            {"phase": phase, "wall": time.time(), "virtual": self.clock()}
-        )
+        span.phases.append((phase, time.time(), self.clock()))
 
     def _close(self, span: Span, status: str) -> Span:
         span.status = status

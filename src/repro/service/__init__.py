@@ -20,20 +20,27 @@ mirror of :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`.
         manager.commit(1)
 """
 
-from .admin import ServiceStats, render_stats
-from .client import AsyncLockClient, RemoteLockManager
-from .core import ParkedWait, ServiceCore, Session
-from .journal import RecoveryReport, SessionJournal, recover_into
-from .loopback import EmbeddedLockManager, LoopbackServer
-from .protocol import (
-    MAX_FRAME,
-    FrameTooLarge,
-    ProtocolError,
-    RemoteDetectionResult,
-    ServiceError,
-    WIRE_VERSION,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".admin": ("ServiceStats", "render_stats"),
+        ".client": ("AsyncLockClient", "RemoteLockManager"),
+        ".core": ("ParkedWait", "ServiceCore", "Session"),
+        ".journal": ("RecoveryReport", "SessionJournal", "recover_into"),
+        ".loopback": ("EmbeddedLockManager", "LoopbackServer"),
+        ".protocol": (
+            "MAX_FRAME",
+            "FrameTooLarge",
+            "ProtocolError",
+            "RemoteDetectionResult",
+            "ServiceError",
+            "WIRE_VERSION",
+        ),
+        ".server": ("LockServer", "serve"),
+    },
 )
-from .server import LockServer, serve
 
 __all__ = [
     "AsyncLockClient",

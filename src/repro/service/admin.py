@@ -12,13 +12,13 @@ resolutions and lease expiries without stopping the server.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from ..core.serialize import table_to_dict
-from ..lockmgr.introspect import render_report
-from ..lockmgr.manager import LockManager
 from ..obs.metrics import MetricsRegistry
 from .protocol import event_to_dict
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..lockmgr.manager import LockManager
 
 
 def stat_metric_name(field: str) -> str:
@@ -149,6 +149,8 @@ def inspect_payload(manager: LockManager) -> Dict[str, Any]:
 
     A sharded manager additionally reports one row per shard (index,
     resources, blocked transactions, queue depth, mutation epoch)."""
+    from ..lockmgr.introspect import render_report
+
     table = manager.table
     payload: Dict[str, Any] = {
         "report": render_report(table),
@@ -186,6 +188,8 @@ def graph_payload(manager: LockManager, dot: bool = False) -> Dict[str, Any]:
 def dump_payload(manager: LockManager) -> Dict[str, Any]:
     """The ``dump`` response: the versioned lock-table snapshot plus the
     paper-notation rendering."""
+    from ..core.serialize import table_to_dict
+
     return {
         "table": table_to_dict(manager.table),
         "text": str(manager.table),

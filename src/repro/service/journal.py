@@ -335,7 +335,6 @@ def recover_into(core, journal: SessionJournal, now: Optional[float] = None):
     """
     from ..core.errors import ReproError
     from ..core.modes import parse_mode
-    from ..cluster.coordinator import apply_resolution_plan
     from .core import Session
 
     started = perf_counter()
@@ -392,6 +391,8 @@ def recover_into(core, journal: SessionJournal, now: Optional[float] = None):
                 elif kind == "detect":
                     core.manager.detect()
                 elif kind == "resolve":
+                    from ..cluster.coordinator import apply_resolution_plan
+
                     apply_resolution_plan(core.manager, record["plan"])
                 # Unknown kinds are skipped: a newer server's records
                 # must not wedge an older reader mid-recovery.

@@ -103,6 +103,29 @@ class TestMergedSnapshot:
         assert unreachable == [down]
         assert merged.resource_ids() == [a]
 
+    def test_torn_cut_across_workers_is_not_a_double_wait(self):
+        """Workers are snapshotted one at a time, so a transaction can
+        show up waiting on two of them in one cut (granted on one, then
+        blocked on the other).  The merge leaves its waits out instead
+        of raising on Axiom 1."""
+        cluster = LocalCluster(workers=2)
+        a, b = rids_on_distinct_workers(cluster)
+        assert cluster.lock(1, a, LockMode.X).granted
+        assert not cluster.lock(2, a, LockMode.X).granted
+        assert cluster.lock(3, b, LockMode.S).granted
+        payloads = cluster._transport.snapshot_all()
+        cluster.finish(1)
+        assert not cluster.lock(2, b, LockMode.X).granted
+        moved = cluster._transport.snapshot_all()
+        payloads[cluster.worker_index(b)] = moved[cluster.worker_index(b)]
+        merged, unreachable, _ = merge_snapshots(payloads)
+        assert unreachable == []
+        assert merged.blocked_tids() == []
+        assert merged.resource_ids() == [a, b]
+        assert str(merged.existing(a)) == (
+            "{}(X): Holder((T1, X, NL)) Queue()".format(a)
+        )
+
 
 class TestClusterDetection:
     @pytest.fixture(autouse=True)

@@ -1,10 +1,15 @@
 """ResourceState / HolderEntry / QueueEntry record behavior."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.errors import LockTableError
 from repro.core.modes import LockMode
 from repro.core.requests import HolderEntry, QueueEntry, ResourceState
+from repro.core.verify import verify_table
+from repro.lockmgr.lock_table import LockTable
 
 NL, IS, IX, S, SIX, X = (
     LockMode.NL,
@@ -144,3 +149,73 @@ class TestResourceState:
 
     def test_iter_yields_holders(self):
         assert [h.tid for h in make_state()] == [1, 2, 3, 4]
+
+
+class TestSlottedRecords:
+    """The records are slotted classes: dataclass behaviour without a
+    per-instance dict."""
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(HolderEntry(1, IX)) == (
+            "HolderEntry(tid=1, granted=<LockMode.IX: 2>, "
+            "blocked=<LockMode.NL: 0>)"
+        )
+        assert repr(QueueEntry(5, S)) == (
+            "QueueEntry(tid=5, blocked=<LockMode.S: 3>)"
+        )
+        assert repr(ResourceState("R9", [HolderEntry(2, S)], [], S)) == (
+            "ResourceState(rid='R9', holders=[HolderEntry(tid=2, "
+            "granted=<LockMode.S: 3>, blocked=<LockMode.NL: 0>)], "
+            "queue=[], total=<LockMode.S: 3>)"
+        )
+
+    def test_equality_is_field_wise_and_class_strict(self):
+        assert HolderEntry(1, IX, SIX) == HolderEntry(1, IX, SIX)
+        assert HolderEntry(1, IX, SIX) != HolderEntry(1, IX)
+        assert QueueEntry(1, S) != HolderEntry(1, S)
+        assert make_state() == make_state()
+        other = make_state()
+        other.queue.pop()
+        assert make_state() != other
+        # Mutable records stay unhashable, as dataclasses are.
+        with pytest.raises(TypeError):
+            hash(make_state())
+
+    def test_default_lists_are_fresh(self):
+        first, second = ResourceState("A"), ResourceState("B")
+        first.holders.append(HolderEntry(1, S))
+        assert second.holders == [] and second.queue == []
+        assert first.total is NL  # total is left exactly as passed
+
+    @pytest.mark.parametrize("clone", [
+        lambda state: state.copy(),
+        copy.deepcopy,
+        lambda state: pickle.loads(pickle.dumps(state)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_clones_are_equal_deep_and_consistent(self, clone):
+        state = make_state()
+        state.av_prefix_length()
+        twin = clone(state)
+        assert twin == state and repr(twin) == repr(state)
+        assert twin.holders[0] is not state.holders[0]
+        assert twin.queue is not state.queue
+        table = LockTable()
+        table.install(twin)
+        assert [v for v in verify_table(table)
+                if v.rule.startswith("cache-")] == []
+        twin.add_holder(HolderEntry(8, IS))
+        assert state.holder_entry(8) is None
+
+    def test_cache_rules_still_fire(self):
+        state = make_state()
+        state.holders.append(HolderEntry(9, X))  # surgery, no resync
+        table = LockTable()
+        table.install(state)
+        rules = {v.rule for v in verify_table(table)}
+        assert {"cache-granted-counts", "cache-granted-mask"} <= rules
+
+    def test_undeclared_attributes_are_rejected(self):
+        for record in (make_state(), HolderEntry(1, S), QueueEntry(1, S)):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.note = "scratch"

@@ -104,3 +104,9 @@ class TestValidation:
             }
         )
         assert not table.existing("R").holder_entry(1).is_blocked
+
+    def test_repeated_resource_rejected(self, example_51_table):
+        data = table_to_dict(example_51_table)
+        data["resources"].append(dict(data["resources"][0]))
+        with pytest.raises(ReproError, match="already present"):
+            table_from_dict(data)

@@ -312,6 +312,44 @@ class TestCrossShardDetection:
         survivor = ({1, 2} - set(result.aborted)).pop()
         assert core.holding(survivor) == {a: LockMode.X, b: LockMode.X}
 
+    def test_torn_cut_is_not_a_double_wait(self):
+        """Shards are snapshotted one at a time.  T2, seen waiting in an
+        early shard, is granted there and blocks in a later shard before
+        that shard's snapshot: the merged cut shows it waiting twice.  It
+        is mid-move, not deadlocked — the pass leaves its waits out and
+        does not raise — and the real cycle it then closes is stable, so
+        the next pass finds it."""
+        core = ShardedLockCore(shards=4)
+        early, late = sorted(
+            rids_on_distinct_shards(core), key=core.shard_index
+        )
+        assert core.lock(1, early, LockMode.X).granted
+        assert not core.lock(2, early, LockMode.X).granted
+        assert core.lock(3, late, LockMode.X).granted
+        late_table = core.shard_for(late).table
+        snapshot = late_table.snapshot
+
+        def move_then_snapshot():
+            core.finish(1)  # grants T2 at the early shard
+            assert not core.lock(2, late, LockMode.X).granted
+            return snapshot()
+
+        late_table.snapshot = move_then_snapshot
+        try:
+            result = core.detect()
+        finally:
+            del late_table.snapshot
+        assert not result.deadlock_found
+        assert result.aborted == [] and result.repositions == []
+        assert core.blocked_at(2) == late
+        assert core.holding(2) == {early: LockMode.X}
+
+        assert not core.lock(3, early, LockMode.S).granted
+        result = core.detect()
+        assert result.deadlock_found
+        assert len(result.aborted) == 1
+        assert not core.deadlocked()
+
 
 def wait_until(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout

@@ -207,3 +207,82 @@ class TestAnnotations:
         kinds = [r["kind"] for r in log.to_dicts(kinds=LIFECYCLE_KINDS)]
         assert kinds == ["request"]
         assert {r["kind"] for r in log.to_dicts()} == {"request", "pass"}
+
+
+#: ``export_jsonl`` of the scripted log below, byte for byte as the
+#: format has always been: phase events export as
+#: ``{"phase", "wall", "virtual"}`` dicts, whatever the storage.
+GOLDEN_JSONL = [
+    (
+        '{"events": [{"phase": "request", "virtual": 1.0, '
+        '"wall": 1000.5}, {"phase": "granted-immediate", "virtual": 2.0, '
+        '"wall": 1001.0}, {"phase": "evicted", "virtual": 8.0, '
+        '"wall": 1004.0}], "kind": "request", "mode": "X", '
+        '"parent": "c:7", "rid": "R1", "span": 1, "status": "granted", '
+        '"tid": 1, "trace": "t-1", "unfinished": true}'
+    ),
+    (
+        '{"events": [{"phase": "request", "virtual": 6.0, '
+        '"wall": 1003.0}, {"phase": "blocked", "virtual": 7.0, '
+        '"wall": 1003.5}], "kind": "resume", "mode": "S", "rid": "R1", '
+        '"span": 3, "status": "blocked", "tid": 2}'
+    ),
+    (
+        '{"events": [{"phase": "request", "virtual": 9.0, '
+        '"wall": 1004.5}], "kind": "request", "mode": "X", "rid": "R2", '
+        '"span": 4, "status": "requested", "tid": 3}'
+    ),
+    (
+        '{"events": [{"phase": "request", "virtual": 10.0, '
+        '"wall": 1005.0}, {"phase": "resolved", "virtual": 11.0, '
+        '"wall": 1005.5}], "kind": "pass", "mode": "-", "rid": "*", '
+        '"span": 5, "status": "resolved", "tid": 0, "trace": "t-2"}'
+    ),
+]
+
+
+def scripted_log(monkeypatch) -> TraceLog:
+    """Every span shape: trace context, a timed-out-then-resumed wait,
+    an eviction at capacity and an annotation span."""
+    ticks = {"wall": 1000.0, "virtual": 0.0}
+
+    def wall() -> float:
+        ticks["wall"] += 0.5
+        return ticks["wall"]
+
+    def virtual() -> float:
+        ticks["virtual"] += 1.0
+        return ticks["virtual"]
+
+    monkeypatch.setattr("repro.obs.spans.time.time", wall)
+    log = TraceLog(clock=virtual, capacity=2, origin="w0")
+    log.begin(1, "R1", "X", trace="t-1", parent="c:7")
+    log.granted(1, "R1", "X", immediate=True)
+    log.begin(2, "R1", "S")
+    log.blocked(2, "R1", "S", conversion=False)
+    log.timed_out(2)
+    log.resumed(2, "R1", "S")
+    log.begin(3, "R2", "X")
+    log.record(0, "*", "-", "pass", "resolved", trace="t-2")
+    log.finished(1)
+    return log
+
+
+class TestExportFormat:
+    def test_jsonl_is_byte_identical(self, monkeypatch):
+        log = scripted_log(monkeypatch)
+        assert log.export_jsonl() == "\n".join(GOLDEN_JSONL)
+
+    def test_to_dict_keeps_key_order_and_fresh_events(self, monkeypatch):
+        log = scripted_log(monkeypatch)
+        record = log.to_dicts(limit=1, kinds=LIFECYCLE_KINDS)[0]
+        assert list(record) == [
+            "span", "tid", "rid", "mode", "kind", "status", "events",
+        ]
+        assert record["events"] == [
+            {"phase": "request", "wall": 1004.5, "virtual": 9.0},
+        ]
+        assert list(record["events"][0]) == ["phase", "wall", "virtual"]
+        # An export is a copy: editing it leaves the span untouched.
+        record["events"].clear()
+        assert log.open_spans()[-1].events != []

@@ -12,11 +12,13 @@ span reaching a terminal state once the transactions finish.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
 from repro.core.modes import LockMode
 from repro.obs import parse_exposition
+from repro.obs.top import run_trace_export
 from repro.service import LoopbackServer
 from repro.service.admin import ServiceStats, stat_metric_name
 from repro.service.client import AsyncLockClient
@@ -144,3 +146,40 @@ def test_metrics_endpoint_reports_disabled_telemetry():
     assert stat_metric_name("grants").format() in {
         entry["name"] for entry in metrics["metrics"]["counters"]
     }
+
+
+def test_spans_op_and_trace_export_keep_the_span_format(server, tmp_path):
+    """Spans leave the server as ``{"phase", "wall", "virtual"}`` event
+    dicts, and ``trace-export`` writes each as one sorted-key JSON line."""
+
+    async def scenario():
+        client = await AsyncLockClient.connect(
+            server.host, server.port, heartbeat=False
+        )
+        try:
+            assert await client.acquire(1, "R1", LockMode.X)
+            assert not await client.acquire(2, "R1", LockMode.S, wait=False)
+            await client.commit(1)
+            await client.commit(2)
+            return await client.spans(annotations=True)
+        finally:
+            await client.close()
+
+    spans = asyncio.run(scenario())["spans"]
+    out = tmp_path / "spans.jsonl"
+    assert run_trace_export(server.host, server.port, str(out)) == 2
+    assert out.read_text().splitlines() == [
+        json.dumps(span, sort_keys=True) for span in spans
+    ]
+    assert [span["status"] for span in spans] == ["released", "released"]
+    assert [event["phase"] for event in spans[1]["events"]] == [
+        "request", "blocked", "granted", "released",
+    ]
+    for span in spans:
+        assert list(span)[:7] == [
+            "span", "tid", "rid", "mode", "kind", "status", "events",
+        ]
+        for event in span["events"]:
+            assert list(event) == ["phase", "wall", "virtual"]
+            assert isinstance(event["wall"], float)
+            assert isinstance(event["virtual"], float)
