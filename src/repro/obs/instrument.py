@@ -13,9 +13,15 @@ end (:meth:`finish`) — and the detector reports each pass through
 :meth:`detection`.
 
 ``enabled=False`` turns every hook into an early return while keeping
-the registry alive (the service's mirrored ``ServiceStats`` counters
-still work), which is how the ``<=5%`` instrumentation-overhead budget
-is enforced: the disabled path costs one attribute load and a branch.
+the registry alive (the service's ``ServiceStats`` counters still
+work), which is how the ``<=5%`` instrumentation-overhead budget is
+enforced: the disabled path costs one attribute load and a branch.
+
+The per-request and per-pass hooks hold their instruments in
+:class:`~repro.obs.metrics.ChildCache` maps: each child is bound
+through the registry on first use, and every later call is one dict
+lookup and an add.  Families still appear, in the exposition and at
+all, exactly when they first get a value.
 
 The metric catalog lives in ``docs/OBSERVABILITY.md``.
 """
@@ -31,6 +37,7 @@ from .metrics import (
     COUNT_BUCKETS,
     DEFAULT_BUCKETS,
     DURATION_BUCKETS,
+    ChildCache,
     MetricsRegistry,
 )
 from .spans import TraceLog
@@ -62,6 +69,119 @@ class Telemetry:
         #: wait histogram measures time from first block to grant.
         self._blocked_since: Dict[int, Tuple[float, str, str]] = {}
 
+        counter, gauge = self.registry.counter, self.registry.gauge
+        histogram = self.registry.histogram
+        # Service-layer and lock-manager event instruments.
+        self._requests = ChildCache(
+            counter, "repro_lock_requests_total",
+            help="lock frames issued to the manager",
+        )
+        self._batch_size = ChildCache(
+            histogram, "repro_batch_size",
+            help="sub-operations per batch frame",
+            buckets=COUNT_BUCKETS,
+        )
+        self._batch_saved = ChildCache(
+            counter, "repro_batch_saved_roundtrips_total",
+            help="network round-trips avoided by batching (size-1 "
+            "per batch)",
+        )
+        self._grants = ChildCache(
+            counter, "repro_lock_grants_total", ("path",),
+            help="granted lock requests by grant path",
+        )
+        self._waits = ChildCache(
+            histogram, "repro_lock_wait_seconds", ("mode", "kind"),
+            help="time from first block to grant",
+            buckets=DEFAULT_BUCKETS,
+        )
+        self._blocks = ChildCache(
+            counter, "repro_lock_blocks_total", ("kind",),
+            help="blocked lock requests by wait kind",
+        )
+        self._resource_blocks = ChildCache(
+            counter, "repro_resource_blocks_total", ("rid",),
+            help="blocked lock requests per resource (contention "
+            "hot spots)",
+        )
+        self._victims = ChildCache(
+            counter, "repro_txn_victims_total",
+            help="transactions aborted by deadlock resolution",
+        )
+        self._repositions = ChildCache(
+            counter, "repro_tdr2_repositions_total",
+            help="queue repositionings performed by TDR-2",
+        )
+        self._delayed = ChildCache(
+            counter, "repro_tdr2_delayed_requests_total",
+            help="requests moved behind the AV prefix by TDR-2",
+        )
+        # Detector-pass instruments.
+        self._passes = ChildCache(
+            counter, "repro_detector_passes_total",
+            help="detection passes run",
+        )
+        self._cycles_found = ChildCache(
+            counter, "repro_detector_cycles_found_total",
+            help="deadlock cycles found (the paper's c')",
+        )
+        self._edges_examined = ChildCache(
+            counter, "repro_detector_edges_examined_total",
+            help="edges examined by Step-2 walks",
+        )
+        self._tdr1 = ChildCache(
+            counter, "repro_detector_tdr1_total",
+            help="cycles resolved by abort",
+        )
+        self._tdr2 = ChildCache(
+            counter, "repro_detector_tdr2_total",
+            help="cycles resolved by queue repositioning",
+        )
+        self._deadlock_passes = ChildCache(
+            counter, "repro_detector_deadlock_passes_total",
+            help="passes that found at least one cycle",
+        )
+        self._abort_free_passes = ChildCache(
+            counter, "repro_detector_abort_free_passes_total",
+            help="deadlock passes resolved without any abort",
+        )
+        self._pass_seconds = ChildCache(
+            histogram, "repro_detector_pass_seconds",
+            help="wall-clock duration of one detection pass",
+            buckets=DURATION_BUCKETS,
+        )
+        self._graph_transactions = ChildCache(
+            histogram, "repro_detector_graph_transactions",
+            help="H/W-TWBG size (transactions) per pass",
+            buckets=COUNT_BUCKETS,
+        )
+        self._cycles_per_pass = ChildCache(
+            histogram, "repro_detector_cycles_per_pass",
+            help="cycles found per pass",
+            buckets=COUNT_BUCKETS,
+        )
+        self._trrps_per_cycle = ChildCache(
+            histogram, "repro_detector_trrps_per_cycle",
+            help="TRRP junctions per resolved cycle",
+            buckets=COUNT_BUCKETS,
+        )
+        self._last_pass_seconds = ChildCache(
+            gauge, "repro_detector_last_pass_seconds",
+            help="duration of the most recent pass",
+        )
+        self._last_cycles = ChildCache(
+            gauge, "repro_detector_last_cycles",
+            help="cycles found by the most recent pass",
+        )
+        self._last_graph_transactions = ChildCache(
+            gauge, "repro_detector_last_graph_transactions",
+            help="graph size of the most recent pass",
+        )
+        self._last_run = ChildCache(
+            gauge, "repro_detector_last_run",
+            help="virtual-clock time of the most recent pass",
+        )
+
     # -- service-layer hooks ----------------------------------------------
 
     def request(
@@ -77,10 +197,7 @@ class Telemetry:
         parent span ref) propagated from the request frame."""
         if not self.enabled:
             return
-        self.registry.counter(
-            "repro_lock_requests_total",
-            help="lock frames issued to the manager",
-        ).inc()
+        self._requests[()].inc()
         self.trace.begin(tid, rid, _mode_name(mode), trace=trace,
                          parent=parent)
 
@@ -89,10 +206,7 @@ class Telemetry:
         request-stays-queued resume path after a client timeout)."""
         if not self.enabled:
             return
-        self.registry.counter(
-            "repro_lock_requests_total",
-            help="lock frames issued to the manager",
-        ).inc()
+        self._requests[()].inc()
         self.trace.resumed(tid, rid, _mode_name(mode))
 
     def wait_timeout(self, tid: int) -> None:
@@ -109,16 +223,8 @@ class Telemetry:
         """One ``batch`` frame carrying ``size`` pipelined sub-ops."""
         if not self.enabled:
             return
-        self.registry.histogram(
-            "repro_batch_size",
-            help="sub-operations per batch frame",
-            buckets=COUNT_BUCKETS,
-        ).observe(size)
-        self.registry.counter(
-            "repro_batch_saved_roundtrips_total",
-            help="network round-trips avoided by batching (size-1 "
-            "per batch)",
-        ).inc(max(size - 1, 0))
+        self._batch_size[()].observe(size)
+        self._batch_saved[()].inc(max(size - 1, 0))
 
     def finish(self, tid: int, aborted: bool = False) -> None:
         """Transaction end: close its spans, forget its pending wait."""
@@ -196,39 +302,22 @@ class Telemetry:
             self._on_repositioned(event)
 
     def _on_granted(self, event: Granted) -> None:
-        path = "immediate" if event.immediate else "waited"
-        self.registry.counter(
-            "repro_lock_grants_total",
-            labels={"path": path},
-            help="granted lock requests by grant path",
-        ).inc()
+        self._grants["immediate" if event.immediate else "waited"].inc()
         if not event.immediate:
             since = self._blocked_since.pop(event.tid, None)
             if since is not None:
                 started, mode_name, kind = since
-                self.registry.histogram(
-                    "repro_lock_wait_seconds",
-                    labels={"mode": mode_name, "kind": kind},
-                    help="time from first block to grant",
-                    buckets=DEFAULT_BUCKETS,
-                ).observe(max(self._clock() - started, 0.0))
+                self._waits[mode_name, kind].observe(
+                    max(self._clock() - started, 0.0)
+                )
         self.trace.granted(
             event.tid, event.rid, event.mode.name, event.immediate
         )
 
     def _on_blocked(self, event: Blocked) -> None:
         kind = "conversion" if event.conversion else "queue"
-        self.registry.counter(
-            "repro_lock_blocks_total",
-            labels={"kind": kind},
-            help="blocked lock requests by wait kind",
-        ).inc()
-        self.registry.counter(
-            "repro_resource_blocks_total",
-            labels={"rid": event.rid},
-            help="blocked lock requests per resource (contention "
-            "hot spots)",
-        ).inc()
+        self._blocks[kind].inc()
+        self._resource_blocks[event.rid].inc()
         self._blocked_since.setdefault(
             event.tid, (self._clock(), event.mode.name, kind)
         )
@@ -237,22 +326,13 @@ class Telemetry:
         )
 
     def _on_aborted(self, event: Aborted) -> None:
-        self.registry.counter(
-            "repro_txn_victims_total",
-            help="transactions aborted by deadlock resolution",
-        ).inc()
+        self._victims[()].inc()
         self._blocked_since.pop(event.tid, None)
         self.trace.aborted(event.tid)
 
     def _on_repositioned(self, event: Repositioned) -> None:
-        self.registry.counter(
-            "repro_tdr2_repositions_total",
-            help="queue repositionings performed by TDR-2",
-        ).inc()
-        self.registry.counter(
-            "repro_tdr2_delayed_requests_total",
-            help="requests moved behind the AV prefix by TDR-2",
-        ).inc(len(event.delayed))
+        self._repositions[()].inc()
+        self._delayed[()].inc(len(event.delayed))
 
     # -- detector ----------------------------------------------------------
 
@@ -262,56 +342,20 @@ class Telemetry:
         wall-clock cost in seconds."""
         if not self.enabled:
             return
-        reg = self.registry
         stats = result.stats
-        reg.counter(
-            "repro_detector_passes_total", help="detection passes run"
-        ).inc()
-        reg.counter(
-            "repro_detector_cycles_found_total",
-            help="deadlock cycles found (the paper's c')",
-        ).inc(stats.cycles_found)
-        reg.counter(
-            "repro_detector_edges_examined_total",
-            help="edges examined by Step-2 walks",
-        ).inc(stats.edges_examined)
-        reg.counter(
-            "repro_detector_tdr1_total", help="cycles resolved by abort"
-        ).inc(stats.tdr1_applied)
-        reg.counter(
-            "repro_detector_tdr2_total",
-            help="cycles resolved by queue repositioning",
-        ).inc(stats.tdr2_applied)
+        self._passes[()].inc()
+        self._cycles_found[()].inc(stats.cycles_found)
+        self._edges_examined[()].inc(stats.edges_examined)
+        self._tdr1[()].inc(stats.tdr1_applied)
+        self._tdr2[()].inc(stats.tdr2_applied)
         if result.deadlock_found:
-            reg.counter(
-                "repro_detector_deadlock_passes_total",
-                help="passes that found at least one cycle",
-            ).inc()
+            self._deadlock_passes[()].inc()
             if result.abort_free:
-                reg.counter(
-                    "repro_detector_abort_free_passes_total",
-                    help="deadlock passes resolved without any abort",
-                ).inc()
-        reg.histogram(
-            "repro_detector_pass_seconds",
-            help="wall-clock duration of one detection pass",
-            buckets=DURATION_BUCKETS,
-        ).observe(duration)
-        reg.histogram(
-            "repro_detector_graph_transactions",
-            help="H/W-TWBG size (transactions) per pass",
-            buckets=COUNT_BUCKETS,
-        ).observe(stats.transactions)
-        reg.histogram(
-            "repro_detector_cycles_per_pass",
-            help="cycles found per pass",
-            buckets=COUNT_BUCKETS,
-        ).observe(stats.cycles_found)
-        trrps = reg.histogram(
-            "repro_detector_trrps_per_cycle",
-            help="TRRP junctions per resolved cycle",
-            buckets=COUNT_BUCKETS,
-        )
+                self._abort_free_passes[()].inc()
+        self._pass_seconds[()].observe(duration)
+        self._graph_transactions[()].observe(stats.transactions)
+        self._cycles_per_pass[()].observe(stats.cycles_found)
+        trrps = self._trrps_per_cycle[()]
         for resolution in result.resolutions:
             trrps.observe(
                 sum(
@@ -320,22 +364,10 @@ class Telemetry:
                     if isinstance(candidate, AbortCandidate)
                 )
             )
-        reg.gauge(
-            "repro_detector_last_pass_seconds",
-            help="duration of the most recent pass",
-        ).set(duration)
-        reg.gauge(
-            "repro_detector_last_cycles",
-            help="cycles found by the most recent pass",
-        ).set(stats.cycles_found)
-        reg.gauge(
-            "repro_detector_last_graph_transactions",
-            help="graph size of the most recent pass",
-        ).set(stats.transactions)
-        reg.gauge(
-            "repro_detector_last_run",
-            help="virtual-clock time of the most recent pass",
-        ).set(self._clock())
+        self._last_pass_seconds[()].set(duration)
+        self._last_cycles[()].set(stats.cycles_found)
+        self._last_graph_transactions[()].set(stats.transactions)
+        self._last_run[()].set(self._clock())
         sharding = getattr(result, "sharding", None)
         if sharding is not None:
             self._detection_sharding(sharding)

@@ -6,7 +6,9 @@ whole implementation in the standard library so the telemetry layer can
 be imported anywhere the lock manager is (embedded, server, explorer,
 benchmark) without adding a dependency.
 
-* :class:`Counter` — a monotonically growing float (``inc``).
+* :class:`Counter` — a monotonically growing float (``inc``), or a
+  zero-argument callback read at snapshot/render time for a count kept
+  elsewhere (the service's plain-int ``ServiceStats`` fields).
 * :class:`Gauge` — a settable value, optionally backed by a zero-argument
   callback read at snapshot/render time (``len(sessions)``-style views
   cost nothing between scrapes).
@@ -136,37 +138,8 @@ def bucket_quantile(
     return max_observed  # pragma: no cover - defensive
 
 
-class Counter:
-    """A monotonically increasing value."""
-
-    kind = "counter"
-
-    __slots__ = ("name", "labels", "value", "_lock")
-
-    def __init__(self, name: str, labels: LabelItems, lock) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self._lock = lock
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up (got {})".format(amount))
-        with self._lock:
-            self.value += amount
-
-    def set(self, value: float) -> None:
-        """Set the absolute value.  Exists so mirrored counter blocks
-        (:class:`~repro.service.admin.ServiceStats`) can keep plain
-        attribute assignment working; application code should ``inc``."""
-        with self._lock:
-            self.value = float(value)
-
-
-class Gauge:
-    """A value that can go up and down — or a live callback."""
-
-    kind = "gauge"
+class _Scalar:
+    """One number, or a zero-argument callback read in its place."""
 
     __slots__ = ("name", "labels", "_value", "fn", "_lock")
 
@@ -191,6 +164,29 @@ class Gauge:
             except Exception:  # a dead callback must not kill a scrape
                 return 0.0
         return self._value
+
+
+class Counter(_Scalar):
+    """A monotonically increasing value — or a callback reading a
+    count kept elsewhere (the ``ServiceStats`` fields)."""
+
+    kind = "counter"
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up (got {})".format(amount))
+        with self._lock:
+            self._value += amount
+
+
+class Gauge(_Scalar):
+    """A value that can go up and down — or a live callback."""
+
+    kind = "gauge"
+
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -266,6 +262,36 @@ class Histogram:
         }
 
 
+class ChildCache(dict):
+    """One metric family's children by label value, each bound through
+    the registry on first use and then held.
+
+    ``cache[value]`` — ``cache[(v1, v2)]`` for two label names,
+    ``cache[()]`` for none — asks ``factory(name, labels=...,
+    **kwargs)`` (a registry's ``counter``, ``gauge`` or ``histogram``)
+    the first time a value is seen; later reads are one dict lookup,
+    with no name check or label sorting.  Since nothing is created
+    before first use, each family still enters the registry, and its
+    exposition, at the point a registry call per use would have put it.
+    """
+
+    def __init__(self, factory, name: str, label_names=(), **kwargs) -> None:
+        super().__init__()
+        self.factory = factory
+        self.name = name
+        self.label_names = tuple(label_names)
+        self.kwargs = kwargs
+
+    def __missing__(self, key):
+        values = key if isinstance(key, tuple) else (key,)
+        child = self[key] = self.factory(
+            self.name,
+            labels=dict(zip(self.label_names, values)),
+            **self.kwargs
+        )
+        return child
+
+
 class _Family:
     """All children of one metric name: fixed kind, help and buckets."""
 
@@ -311,20 +337,26 @@ class MetricsRegistry:
             family.help = help_text
         return family
 
+    def _scalar(self, cls, name, labels, help_text, fn):
+        items = _label_items(labels)
+        with self._lock:
+            family = self._family(name, cls.kind, help_text)
+            child = family.children.get(items)
+            if child is None:
+                child = cls(name, items, self._lock, fn=fn)
+                family.children[items] = child
+            elif fn is not None:
+                child.fn = fn
+            return child
+
     def counter(
         self,
         name: str,
         labels: Optional[Dict[str, str]] = None,
         help: str = "",
+        fn: Optional[Callable[[], float]] = None,
     ) -> Counter:
-        items = _label_items(labels)
-        with self._lock:
-            family = self._family(name, "counter", help)
-            child = family.children.get(items)
-            if child is None:
-                child = Counter(name, items, self._lock)
-                family.children[items] = child
-            return child
+        return self._scalar(Counter, name, labels, help, fn)
 
     def gauge(
         self,
@@ -333,16 +365,7 @@ class MetricsRegistry:
         help: str = "",
         fn: Optional[Callable[[], float]] = None,
     ) -> Gauge:
-        items = _label_items(labels)
-        with self._lock:
-            family = self._family(name, "gauge", help)
-            child = family.children.get(items)
-            if child is None:
-                child = Gauge(name, items, self._lock, fn=fn)
-                family.children[items] = child
-            elif fn is not None:
-                child.fn = fn
-            return child
+        return self._scalar(Gauge, name, labels, help, fn)
 
     def histogram(
         self,

@@ -12,6 +12,7 @@ resolutions and lease expiries without stopping the server.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..obs.metrics import MetricsRegistry
@@ -29,12 +30,13 @@ def stat_metric_name(field: str) -> str:
 class ServiceStats:
     """Cumulative counters of one lock server's lifetime.
 
-    Backed by :class:`~repro.obs.metrics.MetricsRegistry` counters, so
-    the same numbers answer the ``stats`` command (this class's dict
-    surface) and the ``metrics`` command (Prometheus exposition under
-    ``repro_service_<field>_total``).  The attribute surface is
-    unchanged: ``stats.grants += 1`` works, ``ServiceStats(grants=3)``
-    constructs a pre-loaded block (tests rely on both).
+    Each field is a plain int attribute (``stats.grants += 1`` is one
+    attribute add on the request path), and each is exposed as a
+    registry counter ``repro_service_<field>_total`` that reads the
+    attribute at scrape time — so the same numbers answer the ``stats``
+    command (this class's dict surface) and the ``metrics`` command
+    (Prometheus exposition).  ``ServiceStats(grants=3)`` constructs a
+    pre-loaded block.
     """
 
     FIELDS = (
@@ -86,29 +88,14 @@ class ServiceStats:
             )
         if registry is None:
             registry = MetricsRegistry()
-        self.__dict__["registry"] = registry
-        self.__dict__["_counters"] = {
-            field: registry.counter(
+        self.registry = registry
+        for field in self.FIELDS:
+            setattr(self, field, initial.get(field, 0))
+            registry.counter(
                 stat_metric_name(field),
                 help="service counter: " + field.replace("_", " "),
+                fn=partial(getattr, self, field),
             )
-            for field in self.FIELDS
-        }
-        for field, value in initial.items():
-            self.__dict__["_counters"][field].set(value)
-
-    def __getattr__(self, name: str) -> int:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return int(counters[name].value)
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            counters[name].set(value)
-        else:
-            self.__dict__[name] = value
 
     def __repr__(self) -> str:
         return "ServiceStats({})".format(

@@ -40,6 +40,8 @@ Architecture
 from __future__ import annotations
 
 import asyncio
+import sys
+import traceback
 from time import perf_counter
 from typing import Awaitable, Callable, Dict, List, Optional, Set
 
@@ -47,7 +49,7 @@ from .. import __version__
 from ..core.errors import ReproError
 from ..core.modes import parse_mode
 from ..core.victim import CostTable
-from ..obs.metrics import DURATION_BUCKETS as _FSYNC_BUCKETS
+from ..obs.metrics import DURATION_BUCKETS as _FSYNC_BUCKETS, ChildCache
 from . import admin
 from .core import MAX_LEASE, MIN_LEASE, ParkedWait, ServiceCore, Session
 from .journal import SessionJournal, recover_into
@@ -157,6 +159,34 @@ class LockServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._ops: "asyncio.Queue" = asyncio.Queue()
         self._tasks: List[asyncio.Task] = []
+        # Sampled wire meters and the group-commit fsync histogram,
+        # bound on first use like the telemetry hooks' instruments.
+        registry = self.core.telemetry.registry
+        self._wire_frames = ChildCache(
+            registry.counter, "repro_wire_frames_total", ("direction",),
+            help="frames on the wire (sampled, x{})".format(_WIRE_SAMPLE),
+        )
+        self._frame_bytes = ChildCache(
+            registry.histogram, "repro_frame_bytes", ("direction",),
+            help="on-wire frame size per direction (sampled)",
+            buckets=_FRAME_BUCKETS,
+        )
+        self._codec_seconds = ChildCache(
+            registry.histogram, "repro_wire_codec_seconds", ("direction",),
+            help="pure encode/decode latency of one frame (sampled; "
+            "direction=in is decode, direction=out is encode)",
+            buckets=_CODEC_BUCKETS,
+        )
+        self._fsync_seconds = ChildCache(
+            registry.histogram, "repro_journal_fsync_seconds",
+            help="write+fsync latency of one journal group commit",
+            buckets=_FSYNC_BUCKETS,
+        )
+        self._pass_errors = ChildCache(
+            registry.counter, "repro_detector_pass_errors_total",
+            help="periodic detector passes that raised (detection "
+            "carries on with the next pass)",
+        )
 
     # -- core views --------------------------------------------------------
 
@@ -281,24 +311,36 @@ class LockServer:
                 if self.core.journal.flush():
                     self.core.stats.journal_flushes += 1
                     if self.core.telemetry.enabled:
-                        self.core.telemetry.registry.histogram(
-                            "repro_journal_fsync_seconds",
-                            help="write+fsync latency of one journal "
-                            "group commit",
-                            buckets=_FSYNC_BUCKETS,
-                        ).observe(perf_counter() - flush_started)
+                        self._fsync_seconds[()].observe(
+                            perf_counter() - flush_started
+                        )
 
     # -- background tasks ------------------------------------------------------
 
     async def _detector_loop(self) -> None:
         # The policy may retune the interval between passes (the
-        # adaptive controller); consult it every iteration.
+        # adaptive controller); consult it every iteration.  A pass
+        # that raises is counted and reported, and the next pass runs
+        # on schedule: one bad pass must not end periodic detection.
+        failures = 0
         while True:
             interval = self.core.policy.current_period(self.period)
             await asyncio.sleep(
                 self.period if interval is None else interval
             )
-            await self._submit(self.core.detect_step)
+            try:
+                await self._submit(self.core.detect_step)
+            except Exception as exc:
+                failures += 1
+                self._pass_errors[()].inc()
+                if failures == 1:
+                    traceback.print_exc()
+                else:
+                    print(
+                        "detector pass failed ({} failures so far): "
+                        "{!r}".format(failures, exc),
+                        file=sys.stderr,
+                    )
 
     async def _reaper_loop(self) -> None:
         while True:
@@ -318,26 +360,9 @@ class LockServer:
     ) -> None:
         """Sampled wire telemetry: one observed frame stands for the
         :data:`_WIRE_SAMPLE` frames around it."""
-        registry = self.core.telemetry.registry
-        labels = {"direction": direction}
-        registry.counter(
-            "repro_wire_frames_total",
-            help="frames on the wire (sampled, x{})".format(_WIRE_SAMPLE),
-            labels=labels,
-        ).inc(_WIRE_SAMPLE)
-        registry.histogram(
-            "repro_frame_bytes",
-            help="on-wire frame size per direction (sampled)",
-            labels=labels,
-            buckets=_FRAME_BUCKETS,
-        ).observe(nbytes)
-        registry.histogram(
-            "repro_wire_codec_seconds",
-            help="pure encode/decode latency of one frame (sampled; "
-            "direction=in is decode, direction=out is encode)",
-            labels=labels,
-            buckets=_CODEC_BUCKETS,
-        ).observe(seconds)
+        self._wire_frames[direction].inc(_WIRE_SAMPLE)
+        self._frame_bytes[direction].observe(nbytes)
+        self._codec_seconds[direction].observe(seconds)
 
     async def _handle_connection(self, reader, writer) -> None:
         session: Optional[Session] = None

@@ -241,6 +241,54 @@ class TestDeadlockResolution:
         asyncio.run(go())
 
 
+    def test_detector_survives_a_failing_pass(self, capsys):
+        """Passes that raise are counted and reported on stderr (the
+        first with its traceback, later ones in one line each); the
+        next pass still runs and resolves a freshly staged 2-cycle."""
+
+        async def go():
+            async with running_server(period=0.05) as server:
+                detect_step = server.core.detect_step
+                calls = []
+
+                def flaky():
+                    calls.append(len(calls))
+                    if len(calls) <= 2:
+                        raise RuntimeError("injected pass failure")
+                    return detect_step()
+
+                server.core.detect_step = flaky
+                while len(calls) < 2:
+                    await asyncio.sleep(0.01)
+                async with connected(server) as one:
+                    async with connected(server) as two:
+                        assert await one.acquire(1, "R1", LockMode.S)
+                        assert await two.acquire(2, "R2", LockMode.S)
+                        results = await asyncio.wait_for(
+                            asyncio.gather(
+                                one.acquire(1, "R2", LockMode.X),
+                                two.acquire(2, "R1", LockMode.X),
+                                return_exceptions=True,
+                            ),
+                            timeout=5.0,
+                        )
+                        kinds = sorted(type(r).__name__ for r in results)
+                        assert kinds == ["TransactionAborted", "bool"]
+                errors = server.core.telemetry.registry.get(
+                    "repro_detector_pass_errors_total"
+                )
+                assert errors.value == 2
+                assert server.stats.deadlocks_resolved == 1
+
+        asyncio.run(go())
+        err = capsys.readouterr().err
+        assert err.count("Traceback") == 1
+        assert err.splitlines()[-1] == (
+            "detector pass failed (2 failures so far): "
+            "RuntimeError('injected pass failure')"
+        )
+
+
 class TestWaitSemantics:
     def test_timeout_then_reacquire_resumes_same_request(self):
         """A timed-out wait leaves the request queued; retrying resumes

@@ -304,7 +304,9 @@ class TestResumeAcrossRestart:
 
 class TestEmbeddedManager:
     def test_embed_facade_matches_remote_contract(self):
-        with LoopbackServer(period=0.05) as server:
+        # Stages a contended wait=False request; pinned to the detector
+        # lane so the REPRO_POLICY=nowait leg does not abort it.
+        with LoopbackServer(period=0.05, policy="periodic") as server:
             with EmbeddedLockManager(server) as m1, EmbeddedLockManager(
                 server
             ) as m2:

@@ -3,8 +3,11 @@
 The ``serve`` path imports neither the analysis package nor numpy, and
 the lazy package exports (PEP 562) keep the client, the loopback
 harness, the introspection and verification tools, the paper-notation
-parser and the cluster package out of a server process — a plain boot
-and a journaled one alike.  The detector's own modules still load at
+parser, the cluster package, the simulator and the baseline strategies
+out of a server process — a plain boot and a journaled one alike.  The
+probes build the CLI parser and parse a ``serve`` command line, as
+``python -m repro serve`` does, since the parser reads the simulator's
+workload presets for another command's choices.  The detector's own modules still load at
 start, so their compile cost never lands on the first periodic pass.
 """
 
@@ -29,6 +32,12 @@ NOT_SERVED = (
     "repro.core.verify",
     "repro.core.trace",
     "repro.core.notation",
+    "repro.sim.runner",
+    "repro.sim.system",
+    "repro.sim.realtime",
+    "repro.sim.engine",
+    "repro.sim.metrics",
+    "repro.baselines",
 )
 
 #: Modules the periodic detector runs, loaded before the first pass.
@@ -40,6 +49,7 @@ LAZY_PACKAGES = (
     "repro.lockmgr",
     "repro.service",
     "repro.cluster",
+    "repro.sim",
 )
 
 REPORT = (
@@ -47,12 +57,19 @@ REPORT = (
     "print(sorted(m for m in {!r} if m in sys.modules))\n"
 ).format(NOT_SERVED, DETECTOR)
 
-IMPORT_PROBE = "import sys\nimport repro.cli, repro.service.server\n" + REPORT
+SERVE_ARGV = (
+    "import repro.cli, repro.service.server\n"
+    "repro.cli.build_parser().parse_args(['serve', '--port', '0'])\n"
+)
+
+IMPORT_PROBE = "import sys\n" + SERVE_ARGV + REPORT
 
 JOURNALED_BOOT_PROBE = (
     """
 import asyncio, sys, time
-import repro.cli, repro.service.server
+"""
+    + SERVE_ARGV
+    + """
 from repro.service.journal import encode_record
 from repro.service.server import LockServer
 
